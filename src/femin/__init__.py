@@ -76,7 +76,6 @@ from .mirror_descent import (
     make_oracle,
     neg_step,
     project_to_simplex,
-    register_oracle,
     run_descent,
     validate_gradient,
 )
@@ -97,6 +96,7 @@ from .simplex import (
     FiniteDistribution,
     LossVector,
     entropy,
+    gibbs,
     half_sq_l2,
     kl_divergence,
     log_sum_exp,

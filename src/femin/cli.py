@@ -10,6 +10,7 @@ for identical configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,6 +32,13 @@ SCHEMA_VERSION = 1
 
 class InputError(Exception):
     """Structurally malformed input (exit code 2)."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports bad flags as InputError, so they get the JSON error object."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _load_json(path):
@@ -104,13 +112,7 @@ def _fmt(value: float) -> str:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value
-    return out
+    return dict(sorted(vars(args).items()))
 
 
 def _write_text(text: str, args) -> None:
@@ -305,35 +307,37 @@ def _add_common(parser) -> None:
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="femin", description=__doc__)
+    """The parser tree, built once per process: parse_args does not mutate it."""
+    parser = _ArgumentParser(prog="femin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="closed-form free-energy minimization")
     p.add_argument("--problem", required=True)
     p.add_argument("--q", default=None, help="optional distribution to score with the optimality gap")
-    p.set_defaults(func=cmd_solve, default_tol=None)
+    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("maxent", help="maximum-entropy fit under moment constraints")
     p.add_argument("--constraints", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=200)
-    p.set_defaults(func=cmd_maxent, default_tol=1e-8)
+    p.set_defaults(default_tol=1e-8)
 
     p = sub.add_parser("posterior", help="normalize an unnormalized model")
     p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_posterior, default_tol=None)
+    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("elbo", help="evidence lower bound of q against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--q", required=True)
-    p.set_defaults(func=cmd_elbo, default_tol=None)
+    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("em", help="fit a mixture model by expectation-maximization")
     p.add_argument("--model", required=True, help="JSON initial model")
     p.add_argument("--data", required=True, help="CSV with one observation per line")
     p.add_argument("--max-iter", type=int, default=500)
-    p.set_defaults(func=cmd_em, default_tol=1e-8)
+    p.set_defaults(default_tol=1e-8)
 
     p = sub.add_parser("pacbayes", help="bound-coverage experiment for Gibbs learners")
     p.add_argument("--problem", required=True)
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=2000)
-    p.set_defaults(func=cmd_pacbayes, default_tol=None)
+    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("klest", help="variational KL estimate from two sample files")
     p.add_argument("--class", dest="klass", choices=("tabular", "linear"), default="tabular")
@@ -351,23 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.1)
-    p.set_defaults(func=cmd_klest, default_tol=None)
+    p.set_defaults(default_tol=None)
 
-    p = sub.add_parser("mirror", help="simplex descent with a registry oracle")
+    p = sub.add_parser("mirror", help="simplex descent with a built-in oracle")
     p.add_argument(
         "--oracle",
         default="linear",
         choices=("linear", "quadratic-to-target", "entropy-regularized-linear"),
     )
-    p.add_argument("--l", default=None, help="comma-separated loss vector")
-    p.add_argument("--target", default=None, help="comma-separated target point")
+    p.add_argument("--l", default=None, help="comma-separated loss vector (--l=-1,2 if it starts with a minus)")
+    p.add_argument("--target", default=None, help="comma-separated target point (--target=-1,2 likewise)")
     p.add_argument("--reg", type=float, default=0.1)
     p.add_argument("--x0", default=None, help="comma-separated starting distribution")
     p.add_argument("--method", choices=("neg", "euclidean"), default="neg")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--schedule", choices=("constant", "inv_sqrt", "backtracking"), default="constant")
     p.add_argument("--iters", type=int, default=200)
-    p.set_defaults(func=cmd_mirror, default_tol=1e-10)
+    p.set_defaults(default_tol=1e-10)
 
     p = sub.add_parser("figure1", help="temperature-sweep table for the three penalties")
     p.add_argument("--x-min", type=float, default=-4.0)
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-points", type=int, default=41)
     p.add_argument("--temperatures", default="10,1,0.1,0.01")
     p.add_argument("--loss", default="bimodal", help="built-in loss name or JSON table path")
-    p.set_defaults(func=cmd_figure1, default_tol=None)
+    p.set_defaults(default_tol=None)
 
     for sp in sub.choices.values():
         _add_common(sp)
@@ -383,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = args.default_tol
-    del args.default_tol
     try:
-        args.func(args)
+        args = build_parser().parse_args(argv)
+        if args.tol is None:
+            args.tol = args.default_tol
+        del args.default_tol
+        # By name, so that a patched or wrapped cmd_* function takes effect.
+        globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         _report_error(exc, 2)
         return 2

@@ -21,7 +21,7 @@ from .free_energy import (
     FreeEnergyProblem,
     minimize_closed_form,
 )
-from .simplex import FiniteDistribution, LossVector
+from .simplex import FiniteDistribution, LossVector, gibbs
 
 LOSS_SCALE_MAX = 5.0
 
@@ -50,7 +50,7 @@ def scale_loss(raw: np.ndarray) -> np.ndarray:
 
 def grid_prior(x: np.ndarray) -> FiniteDistribution:
     """Standard-normal density restricted to the grid and renormalized."""
-    return FiniteDistribution.normalized(np.exp(-0.5 * x**2))
+    return FiniteDistribution(gibbs(-0.5 * x**2)[0])
 
 
 @dataclass(frozen=True)

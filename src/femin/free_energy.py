@@ -30,9 +30,9 @@ from .simplex import (
     FiniteDistribution,
     LossVector,
     entropy,
+    gibbs,
     half_sq_l2,
     kl_divergence,
-    log_sum_exp,
 )
 
 NEG_ENTROPY = "neg_entropy"
@@ -194,27 +194,24 @@ def solve_tau(p: FiniteDistribution, l: LossVector, temperature: float) -> float
 def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
     """Exact minimizer of J for the problem's penalty kind.
 
-    All normalizations run through log_sum_exp so losses with magnitude ~1e3
-    do not overflow. Logarithmic optimal values are scaled by T, so the
-    result minimizes J at the problem's own temperature (not only T=1).
+    The entropy and KL penalties share the Gibbs kernel, so losses with
+    magnitude ~1e3 do not overflow. Logarithmic optimal values are scaled by
+    T, so the result minimizes J at the problem's own temperature (not only
+    T=1).
     """
     losses = problem.loss.losses
     t = problem.temperature
     kind = problem.penalty.kind
-    if kind == NEG_ENTROPY:
-        logits = -losses / t
-        log_z = log_sum_exp(logits)
-        q_opt = FiniteDistribution.normalized(np.exp(logits - log_z))
-        return Solution(q_opt, -t * log_z)
+    if kind == HALF_SQ_L2:
+        tau = solve_tau(problem.penalty.prior, problem.loss, t)
+        clipped = np.clip(problem.penalty.prior.probs - losses / t - tau, 0.0, None)
+        q_opt = FiniteDistribution.normalized(clipped)
+        return Solution(q_opt, free_energy(problem, q_opt), tau=tau)
+    logits = -losses / t
     if kind == KL_TO_PRIOR:
-        logits = np.log(problem.penalty.prior.probs) - losses / t
-        log_z = log_sum_exp(logits)
-        q_opt = FiniteDistribution.normalized(np.exp(logits - log_z))
-        return Solution(q_opt, -t * log_z)
-    tau = solve_tau(problem.penalty.prior, problem.loss, t)
-    clipped = np.clip(problem.penalty.prior.probs - losses / t - tau, 0.0, None)
-    q_opt = FiniteDistribution.normalized(clipped)
-    return Solution(q_opt, free_energy(problem, q_opt), tau=tau)
+        logits += np.log(problem.penalty.prior.probs)
+    probs, log_z = gibbs(logits)
+    return Solution(FiniteDistribution(probs), float(-t * log_z))
 
 
 @lru_cache(maxsize=64)

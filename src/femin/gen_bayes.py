@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free_energy import ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
-from .simplex import FiniteDistribution, LossVector, entropy, log_sum_exp
+from .simplex import FiniteDistribution, LossVector, entropy, gibbs, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def log_partition(model: UnnormalizedModel) -> float:
 
 def posterior(model: UnnormalizedModel) -> FiniteDistribution:
     """The normalized distribution p(x) = p~(x) / Z, computed in log space."""
-    return FiniteDistribution.normalized(np.exp(model.log_tilde_p - log_partition(model)))
+    return FiniteDistribution(gibbs(model.log_tilde_p)[0])
 
 
 def elbo(model: UnnormalizedModel, q: FiniteDistribution) -> float:
@@ -99,9 +99,7 @@ def mean_field_coordinate_ascent(log_joint: np.ndarray, sweeps: int = 20):
 
     trace = [product_elbo()]
     for _ in range(int(sweeps)):
-        logits1 = table @ q2.probs
-        q1 = FiniteDistribution.normalized(np.exp(logits1 - log_sum_exp(logits1)))
-        logits2 = q1.probs @ table
-        q2 = FiniteDistribution.normalized(np.exp(logits2 - log_sum_exp(logits2)))
+        q1 = FiniteDistribution(gibbs(table @ q2.probs)[0])
+        q2 = FiniteDistribution(gibbs(q1.probs @ table)[0])
         trace.append(product_elbo())
     return q1, q2, np.array(trace)

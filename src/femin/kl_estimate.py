@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamples, NonFinite, SupportViolation
-from .simplex import SUPPORT_EPS, FiniteDistribution, log_sum_exp
+from .simplex import SUPPORT_EPS, FiniteDistribution, gibbs, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,9 @@ class FitResult:
     seed: int
 
 
-def _empirical_gradient(fn, p_hat: np.ndarray, q_counts: np.ndarray):
+def _empirical_gradient(fn, p_hat: np.ndarray, log_q_counts: np.ndarray):
     """Ascent direction of the empirical objective in the class parameters."""
-    neg = fn.neg_values()
-    with np.errstate(divide="ignore"):
-        log_w = np.where(q_counts > 0, np.log(q_counts, where=q_counts > 0) + neg, -np.inf)
-    shift = log_w.max()
-    soft = np.exp(log_w - shift)
-    soft /= soft.sum()
-    symbol_grad = soft - p_hat
+    symbol_grad = gibbs(log_q_counts + fn.neg_values())[0] - p_hat
     if isinstance(fn, TabularFunction):
         return symbol_grad
     return fn.features.T @ symbol_grad
@@ -231,7 +225,8 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
     _check_alphabet(init, samples)
     n = init.alphabet_size
     p_hat = np.bincount(samples.samples_p, minlength=n) / samples.samples_p.size
-    q_counts = np.bincount(samples.samples_q, minlength=n).astype(float)
+    with np.errstate(divide="ignore"):
+        log_q_counts = np.log(np.bincount(samples.samples_q, minlength=n))  # -inf at zero counts
 
     fn = init
     objective = dv_objective(fn, samples)
@@ -239,7 +234,7 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
     if not np.isfinite(objective):
         raise NonFinite("objective is non-finite at the initial parameters", trace=np.array(trace))
     for _ in range(steps):
-        grad = _empirical_gradient(fn, p_hat, q_counts)
+        grad = _empirical_gradient(fn, p_hat, log_q_counts)
         step = learning_rate
         accepted = None
         for _ in range(60):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComponentWarning, EmptyData
-from .simplex import FiniteDistribution
+from .simplex import FiniteDistribution, gibbs
 
 CATEGORICAL = "categorical"
 GAUSSIAN1D = "gaussian1d"
@@ -160,26 +160,22 @@ def _log_joint(model: MixtureModel, y: np.ndarray) -> np.ndarray:
     return log_w[None, :] + log_dens
 
 
+def _responsibilities(probs: np.ndarray, row_log_lik: np.ndarray) -> Responsibilities:
+    """The E-step result from gibbs(_log_joint); an impossible row is an error."""
+    if not (row_log_lik > -np.inf).all():
+        bad = int(np.nonzero(row_log_lik == -np.inf)[0][0])
+        raise ValueError(f"observation {bad} has zero probability under every component")
+    return Responsibilities(probs)
+
+
 def marginal_log_likelihood(model: MixtureModel, data) -> float:
     """sum_i log sum_k weight_k p_k(y_i), each inner sum max-shifted."""
-    y = _check_data(model, data)
-    lj = _log_joint(model, y)
-    row_max = lj.max(axis=1)
-    if np.any(row_max == -np.inf):
-        return float("-inf")
-    return float((row_max + np.log(np.exp(lj - row_max[:, None]).sum(axis=1))).sum())
+    return float(gibbs(_log_joint(model, _check_data(model, data)))[1].sum())
 
 
 def e_step(model: MixtureModel, data) -> Responsibilities:
     """Posterior over components for each observation (Bayes rule per row)."""
-    y = _check_data(model, data)
-    lj = _log_joint(model, y)
-    row_max = lj.max(axis=1)
-    if np.any(row_max == -np.inf):
-        bad = int(np.nonzero(row_max == -np.inf)[0][0])
-        raise ValueError(f"observation {bad} has zero probability under every component")
-    w = np.exp(lj - row_max[:, None])
-    return Responsibilities(w / w.sum(axis=1, keepdims=True))
+    return _responsibilities(*gibbs(_log_joint(model, _check_data(model, data))))
 
 
 def m_step(model: MixtureModel, data, resp: Responsibilities) -> MixtureModel:
@@ -227,12 +223,14 @@ def em_fit(init: MixtureModel, data, tol: float = 1e-8, max_iter: int = 500):
     the trace is nondecreasing up to rounding."""
     y = _check_data(init, data)
     model = init
-    previous = marginal_log_likelihood(model, y)
+    probs, row_log_lik = gibbs(_log_joint(model, y))
+    previous = float(row_log_lik.sum())
     trace = []
     for _ in range(int(max_iter)):
-        resp = e_step(model, y)
-        model = m_step(model, y, resp)
-        current = marginal_log_likelihood(model, y)
+        model = m_step(model, y, _responsibilities(probs, row_log_lik))
+        # This E-step serves both the trace entry and the next M-step.
+        probs, row_log_lik = gibbs(_log_joint(model, y))
+        current = float(row_log_lik.sum())
         trace.append(current)
         if abs(current - previous) < tol:
             break

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import Infeasible, NotConverged
-from .simplex import FiniteDistribution, log_sum_exp
+from .simplex import FiniteDistribution, gibbs, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,13 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
     dual_trace = [dual(lam)]
     residual = np.inf
     for iteration in range(max_iter):
-        log_z = log_sum_exp(lam @ features)
-        q = np.exp(lam @ features - log_z)
+        q = gibbs(lam @ features)[0]
         mean_f = features @ q
         grad = targets - mean_f
         residual = float(np.abs(grad).max())
         if residual <= tol:
             return MaxEntSolution(
-                lam, FiniteDistribution.normalized(q), iteration, residual, np.array(dual_trace)
+                lam, FiniteDistribution(q), iteration, residual, np.array(dual_trace)
             )
         cov = (features * q) @ features.T - np.outer(mean_f, mean_f)
         eigvals = np.linalg.eigvalsh(cov)

@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import FlooringWarning, NonFinite, ZeroCoordinate
 from .free_energy import _projection_pivot
-from .simplex import FiniteDistribution, log_sum_exp
+from .simplex import FiniteDistribution, gibbs
 
-# Smallest representable iterate coordinate for the multiplicative method.
-LOG_FLOOR = np.log(1e-300)
+# Smallest iterate coordinate for the multiplicative method.
+PROB_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,8 @@ _ORACLE_BUILDERS = {
 }
 
 
-def register_oracle(name: str, builder: Callable) -> None:
-    _ORACLE_BUILDERS[name] = builder
-
-
 def make_oracle(descriptor: str, *args, **kwargs) -> ObjectiveOracle:
-    """Build a registry oracle by name and validate its gradient."""
+    """Build a named oracle and validate its gradient."""
     if descriptor not in _ORACLE_BUILDERS:
         raise ValueError(f"unknown oracle {descriptor!r}; known: {sorted(_ORACLE_BUILDERS)}")
     oracle = _ORACLE_BUILDERS[descriptor](*args, **kwargs)
@@ -141,9 +137,7 @@ def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
     grad = np.asarray(grad, dtype=float)
     if grad.shape != q.probs.shape:
         raise ValueError(f"grad has shape {grad.shape}, expected {q.probs.shape}")
-    log_w = np.log(q.probs) - float(alpha) * grad
-    log_w -= log_sum_exp(log_w)
-    return FiniteDistribution.normalized(np.exp(log_w))
+    return FiniteDistribution(gibbs(np.log(q.probs) - float(alpha) * grad)[0])
 
 
 @dataclass(frozen=True)
@@ -199,12 +193,11 @@ def run_descent(
         nonlocal floored
         if method == "euclidean":
             return project_to_simplex(point.probs - alpha * g)
-        log_w = np.log(point.probs) - alpha * g
-        log_w -= log_sum_exp(log_w)
-        if np.any(log_w < LOG_FLOOR):
+        probs = gibbs(np.log(point.probs) - alpha * g)[0]
+        if np.any(probs < PROB_FLOOR):
             floored = True
-            log_w = np.maximum(log_w, LOG_FLOOR)
-        return FiniteDistribution.normalized(np.exp(log_w))
+            probs = np.maximum(probs, PROB_FLOOR)
+        return FiniteDistribution.normalized(probs)
 
     for iteration in range(1, int(max_iter) + 1):
         if schedule == "backtracking":

@@ -154,21 +154,34 @@ def half_sq_l2(q: FiniteDistribution, p: FiniteDistribution) -> float:
     return float(0.5 * (diff @ diff))
 
 
-def log_sum_exp(values) -> float:
-    """log(sum_i exp(v_i)) via max-shift; safe for magnitudes up to ~1e3.
+def gibbs(logits):
+    """Gibbs map along the last axis: (exp(v - log Z), log Z), Z = sum exp(v).
 
-    -inf entries contribute zero weight (all -inf gives -inf); +inf and
-    NaN entries are rejected.
+    Max-shifted, so magnitudes up to ~1e3 are safe. log Z drops the last axis
+    (a numpy scalar for a vector). -inf entries get zero weight; a slice of
+    only -inf has log Z = -inf and NaN probabilities. +inf and NaN raise.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(logits, dtype=float)
     if v.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    if np.any(np.isnan(v)) or np.any(v == np.inf):
-        raise ValueError("log_sum_exp entries must be < +inf and not NaN")
-    m = float(v.max())
-    if m == -np.inf:
-        return float("-inf")
-    return float(m + np.log(np.exp(v - m).sum()))
+        raise ValueError("gibbs of an empty vector")
+    m = v.max(axis=-1, keepdims=True)
+    if np.isfinite(m).all():
+        return _shifted_gibbs(v, m)
+    if not (m < np.inf).all():
+        raise ValueError("logits must be < +inf and not NaN")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _shifted_gibbs(v, np.where(m == -np.inf, 0.0, m))
+
+
+def _shifted_gibbs(v, m):
+    w = np.exp(v - m)
+    total = w.sum(axis=-1, keepdims=True)
+    return w / total, m[..., 0] + np.log(total[..., 0])
+
+
+def log_sum_exp(values) -> float:
+    """log(sum_i exp(v_i)), the log Z of :func:`gibbs`."""
+    return float(gibbs(values)[1])
 
 
 def total_variation(q: FiniteDistribution, p: FiniteDistribution) -> float:

@@ -248,6 +248,11 @@ class TestExitCodes:
             ("em", "--model", cmodel, "--data", str(float_symbols)),
             ("mirror", "--l", "a,b"),
             ("figure1", "--loss", bad_loss_table),
+            # argparse errors: a value that looks like a flag, a missing
+            # required flag, no subcommand
+            ("mirror", "--l", "-1,2"),
+            ("solve",),
+            (),
         ]
         for argv in cases:
             result = run_cli(*argv)
@@ -257,6 +262,19 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self, problem_file):
         result = run_cli("solve", "--problem", problem_file, "--frobnicate")
         assert result.returncode == 2
+        error = json.loads(result.stderr)
+        assert error["exit_code"] == 2 and error["error"] == "InputError"
+        assert "--frobnicate" in error["message"]
+
+    def test_help_exits_zero(self):
+        for argv in (("--help",), ("mirror", "--help")):
+            result = run_cli(*argv)
+            assert result.returncode == 0
+            assert result.stdout.startswith("usage: femin")
+
+    def test_negative_list_with_equals_sign(self):
+        result = run_cli("mirror", "--l=-1,2", "--iters", 1)
+        assert result.returncode == 0, result.stderr
 
     def test_domain_errors(self, tmp_path):
         zero_temp = write_json(

@@ -196,6 +196,54 @@ class TestEmFit:
         assert np.allclose(fitted.weights.probs, fitted_swapped.weights.probs[::-1], atol=1e-9)
 
 
+def three_pass_em_fit(init, data, tol, max_iter):
+    """Reference loop: an E-step, an M-step, then a separate log-likelihood pass."""
+    model = init
+    previous = marginal_log_likelihood(model, data)
+    trace = []
+    for _ in range(max_iter):
+        model = m_step(model, data, e_step(model, data))
+        current = marginal_log_likelihood(model, data)
+        trace.append(current)
+        if abs(current - previous) < tol:
+            break
+        previous = current
+    return model, np.array(trace)
+
+
+class TestSinglePassEm:
+    """em_fit reads the log-likelihood off its E-step; the result must match
+    the loop that computes it in a separate pass."""
+
+    @staticmethod
+    def assert_same_fit(init, data):
+        model, trace = em_fit(init, data, tol=1e-10, max_iter=200)
+        ref_model, ref_trace = three_pass_em_fit(init, data, tol=1e-10, max_iter=200)
+        assert trace.size == ref_trace.size
+        assert np.allclose(trace, ref_trace, rtol=1e-12, atol=0.0)
+        assert np.allclose(model.weights.probs, ref_model.weights.probs, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gaussian_matches_three_pass_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        data = np.concatenate([rng.normal(-4, 1, 100), rng.normal(0, 0.7, 100), rng.normal(4, 1.2, 100)])
+        self.assert_same_fit(default_init(data, 3, GAUSSIAN1D, seed=seed), data)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_categorical_matches_three_pass_loop(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        true_cat = MixtureModel.categorical(
+            FiniteDistribution([0.6, 0.4]), [[0.7, 0.2, 0.1, 0.0], [0.1, 0.3, 0.4, 0.2]]
+        )
+        data = sample_categorical(rng, true_cat, 200)
+        self.assert_same_fit(default_init(data, 2, CATEGORICAL, seed=seed, n_symbols=4), data)
+
+    def test_impossible_observation_under_init_rejected(self):
+        init = MixtureModel.categorical(FiniteDistribution([0.5, 0.5]), [[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="zero probability under every component"):
+            em_fit(init, np.array([0, 1, 0]))
+
+
 class TestModelValidation:
     def test_emission_rows_must_be_distributions(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,18 @@ class TestNegStep:
             )
             assert total_variation(stepped, minimize_closed_form(fe).q_opt) <= 1e-12
 
+    def test_entrywise_equal_to_kl_closed_form(self):
+        # both run through the same Gibbs kernel; only 1/alpha is rounded
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            q = FiniteDistribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+            grad = rng.normal(scale=2.0, size=n)
+            alpha = float(rng.uniform(0.1, 3.0))
+            fe = FreeEnergyProblem(LossVector(grad), 1.0 / alpha, ComplexityPenalty.kl_to_prior(q))
+            closed = minimize_closed_form(fe).q_opt.probs
+            assert np.abs(neg_step(q, grad, alpha).probs - closed).max() <= 1e-15
+
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ZeroCoordinate):
             neg_step(FiniteDistribution([1.0, 0.0]), np.zeros(2), 0.1)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from femin import (
     DimensionMismatch,
@@ -9,6 +12,7 @@ from femin import (
     LossVector,
     SupportViolation,
     entropy,
+    gibbs,
     half_sq_l2,
     kl_divergence,
     log_sum_exp,
@@ -179,6 +183,72 @@ class TestLogSumExp:
         assert log_sum_exp([-np.inf, -np.inf]) == -np.inf
         with pytest.raises(ValueError):
             log_sum_exp([np.inf, 0.0])
+
+
+def reference_gibbs(v):
+    # oracle: softmax and log-sum-exp over the finite entries only, shifted
+    # by their mean (not their max), in math.fsum
+    finite = [x for x in v if x != -math.inf]
+    if not finite:
+        return [math.nan] * len(v), -math.inf
+    c = math.fsum(finite) / len(finite)
+    weights = [math.exp(x - c) if x != -math.inf else 0.0 for x in v]
+    total = math.fsum(weights)
+    return [w / total for w in weights], c + math.log(total)
+
+
+# Logits of magnitude up to 1e3 with -inf entries mixed in; the spread of the
+# finite entries stays below ~700 so the mean-shifted oracle cannot overflow.
+_logit = st.one_of(st.floats(-350.0, 350.0), st.just(-math.inf))
+_offset = st.floats(-650.0, 650.0)
+
+
+class TestGibbs:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, st.integers(1, 12), elements=_logit), _offset)
+    def test_matches_reference_softmax(self, v, offset):
+        v = v + offset
+        probs, log_z = gibbs(v)
+        ref_probs, ref_log_z = reference_gibbs(v.tolist())
+        if ref_log_z == -math.inf:
+            assert log_z == -np.inf
+            assert np.all(np.isnan(probs))
+            return
+        assert log_z == pytest.approx(ref_log_z, rel=1e-13, abs=1e-12)
+        assert np.allclose(probs, ref_probs, rtol=1e-9, atol=1e-15)
+        assert np.all(probs[v == -np.inf] == 0.0)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert log_sum_exp(v) == log_z
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_logit))
+    def test_rows_match_separate_calls(self, table):
+        probs, log_z = gibbs(table)
+        assert probs.shape == table.shape and log_z.shape == table.shape[:1]
+        for i, row in enumerate(table):
+            row_probs, row_log_z = gibbs(row)
+            assert np.array_equal(probs[i], row_probs, equal_nan=True)
+            assert np.array_equal(log_z[i], row_log_z)
+
+    @given(st.integers(1, 6))
+    def test_all_neg_inf_slice(self, n):
+        probs, log_z = gibbs(np.full(n, -np.inf))
+        assert log_z == -np.inf and np.all(np.isnan(probs))
+        probs, log_z = gibbs(np.array([[0.0] * n, [-np.inf] * n]))
+        assert log_z[0] == pytest.approx(math.log(n), abs=1e-15) and log_z[1] == -np.inf
+        assert np.allclose(probs[0], 1.0 / n, atol=1e-16)
+
+    @given(hnp.arrays(float, st.integers(1, 8), elements=_logit), st.sampled_from([math.inf, math.nan]), st.data())
+    def test_pos_inf_and_nan_rejected(self, v, bad, data):
+        v[data.draw(st.integers(0, v.size - 1))] = bad
+        with pytest.raises(ValueError):
+            gibbs(v)
+        with pytest.raises(ValueError):
+            gibbs(np.vstack([np.zeros_like(v), v]))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            gibbs([])
 
 
 def test_total_variation_basics():
