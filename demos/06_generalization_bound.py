@@ -29,12 +29,12 @@ problem = LearningProblem(
 
 s = rng.choice(12, size=50, p=problem.data_model.probs)
 for beta in (0.1, 2.0, 50.0):
-    post = gibbs_posterior(problem, s, beta)
-    train = float(post.q.probs @ training_losses(problem, s))
-    test = float(post.q.probs @ test_losses(problem))
-    print(f"beta={beta:>5}: E_q[train]={train:.4f}  E_q[test]={test:.4f}  q={np.round(post.q.probs, 3)}")
+    q = gibbs_posterior(problem, s, beta)
+    train = float(q.probs @ training_losses(problem, s))
+    test = float(q.probs @ test_losses(problem))
+    print(f"beta={beta:>5}: E_q[train]={train:.4f}  E_q[test]={test:.4f}  q={np.round(q.probs, 3)}")
 
-lhs, rhs = dv_check(problem, gibbs_posterior(problem, s, 2.0).q, s, beta=2.0)
+lhs, rhs = dv_check(problem, gibbs_posterior(problem, s, 2.0), s, beta=2.0)
 print(f"\nchange-of-measure check: lhs={lhs:.4f} <= rhs={rhs:.4f}")
 
 report = coverage_experiment(problem, beta=2.0, m=50, delta=0.05, trials=2000, seed=7)

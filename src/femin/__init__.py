@@ -81,15 +81,12 @@ from .mirror_descent import (
 )
 from .pac_bayes import (
     CoverageReport,
-    GibbsPosterior,
     LearningProblem,
     coverage_experiment,
     dv_check,
     gibbs_posterior,
     pac_bayes_bound,
-    test_loss,
     test_losses,
-    training_loss,
     training_losses,
 )
 from .simplex import (

@@ -203,9 +203,9 @@ def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
     t = problem.temperature
     kind = problem.penalty.kind
     if kind == HALF_SQ_L2:
-        tau = solve_tau(problem.penalty.prior, problem.loss, t)
-        clipped = np.clip(problem.penalty.prior.probs - losses / t - tau, 0.0, None)
-        q_opt = FiniteDistribution.normalized(clipped)
+        shifted = problem.penalty.prior.probs - losses / t
+        tau = _projection_pivot(shifted)
+        q_opt = FiniteDistribution.normalized(np.clip(shifted - tau, 0.0, None))
         return Solution(q_opt, free_energy(problem, q_opt), tau=tau)
     logits = -losses / t
     if kind == KL_TO_PRIOR:

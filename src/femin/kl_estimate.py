@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamples, NonFinite, SupportViolation
-from .simplex import SUPPORT_EPS, FiniteDistribution, gibbs, log_sum_exp
+from .simplex import SUPPORT_EPS, FiniteDistribution, _symbol_indices, gibbs, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class SamplePair:
             arr = np.asarray(getattr(self, name))
             if arr.ndim != 1 or arr.size == 0:
                 raise EmptySamples(f"{name} must be a nonempty vector of symbols")
-            arr = arr.astype(np.int64)
+            arr = _symbol_indices(arr, name)
             if np.any(arr < 0):
                 raise ValueError(f"{name} must contain nonnegative symbol indices")
             arr.setflags(write=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComponentWarning, EmptyData
-from .simplex import FiniteDistribution, gibbs
+from .simplex import FiniteDistribution, _symbol_indices, gibbs
 
 CATEGORICAL = "categorical"
 GAUSSIAN1D = "gaussian1d"
@@ -134,7 +134,7 @@ def _check_data(model: MixtureModel, data) -> np.ndarray:
         y = np.asarray(data)
         if y.ndim != 1 or y.size == 0:
             raise EmptyData("data must be a nonempty vector of symbols")
-        y = y.astype(np.int64)
+        y = _symbol_indices(y, "observations")
         if np.any(y < 0) or np.any(y >= model.n_symbols):
             raise ValueError(f"observations must lie in [0, {model.n_symbols})")
         return y
@@ -160,12 +160,12 @@ def _log_joint(model: MixtureModel, y: np.ndarray) -> np.ndarray:
     return log_w[None, :] + log_dens
 
 
-def _responsibilities(probs: np.ndarray, row_log_lik: np.ndarray) -> Responsibilities:
-    """The E-step result from gibbs(_log_joint); an impossible row is an error."""
+def _responsibilities(probs: np.ndarray, row_log_lik: np.ndarray) -> np.ndarray:
+    """The E-step table from gibbs(_log_joint); an impossible row is an error."""
     if not (row_log_lik > -np.inf).all():
         bad = int(np.nonzero(row_log_lik == -np.inf)[0][0])
         raise ValueError(f"observation {bad} has zero probability under every component")
-    return Responsibilities(probs)
+    return probs
 
 
 def marginal_log_likelihood(model: MixtureModel, data) -> float:
@@ -175,7 +175,7 @@ def marginal_log_likelihood(model: MixtureModel, data) -> float:
 
 def e_step(model: MixtureModel, data) -> Responsibilities:
     """Posterior over components for each observation (Bayes rule per row)."""
-    return _responsibilities(*gibbs(_log_joint(model, _check_data(model, data))))
+    return Responsibilities(_responsibilities(*gibbs(_log_joint(model, _check_data(model, data)))))
 
 
 def m_step(model: MixtureModel, data, resp: Responsibilities) -> MixtureModel:
@@ -191,6 +191,11 @@ def m_step(model: MixtureModel, data, resp: Responsibilities) -> MixtureModel:
         raise ValueError(
             f"responsibilities have shape {r.shape}, expected {(y.size, model.n_components)}"
         )
+    return _m_step(model, y, r)
+
+
+def _m_step(model: MixtureModel, y: np.ndarray, r: np.ndarray) -> MixtureModel:
+    """m_step's arithmetic on checked observations and an n x K table."""
     mass = r.sum(axis=0)
     degenerate = mass < DEGENERATE_MASS
     if degenerate.any():
@@ -198,7 +203,7 @@ def m_step(model: MixtureModel, data, resp: Responsibilities) -> MixtureModel:
             f"components {np.nonzero(degenerate)[0].tolist()} received no responsibility mass; "
             "keeping their previous parameters",
             DegenerateComponentWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     weights = FiniteDistribution.normalized(np.maximum(mass, DEGENERATE_MASS))
     safe_mass = np.where(degenerate, 1.0, mass)
@@ -227,7 +232,7 @@ def em_fit(init: MixtureModel, data, tol: float = 1e-8, max_iter: int = 500):
     previous = float(row_log_lik.sum())
     trace = []
     for _ in range(int(max_iter)):
-        model = m_step(model, y, _responsibilities(probs, row_log_lik))
+        model = _m_step(model, y, _responsibilities(probs, row_log_lik))
         # This E-step serves both the trace entry and the next M-step.
         probs, row_log_lik = gibbs(_log_joint(model, y))
         current = float(row_log_lik.sum())

@@ -147,14 +147,6 @@ class DescentTrace:
     step_sizes: np.ndarray  # one per accepted step
 
 
-def _step_size(schedule: str, base: float, iteration: int) -> float:
-    if schedule == "constant":
-        return base
-    if schedule == "inv_sqrt":
-        return base / np.sqrt(iteration)
-    raise ValueError(f"unknown schedule {schedule!r}")
-
-
 def run_descent(
     oracle: ObjectiveOracle,
     x0: FiniteDistribution,
@@ -200,21 +192,17 @@ def run_descent(
         return FiniteDistribution.normalized(probs)
 
     for iteration in range(1, int(max_iter) + 1):
+        alpha = step_size / np.sqrt(iteration) if schedule == "inv_sqrt" else step_size
+        candidate = advance(current, grad, alpha)
+        cand_value, cand_grad = oracle.evaluate(candidate.probs)
         if schedule == "backtracking":
-            alpha = step_size
             grad_sq = float(np.asarray(grad) @ np.asarray(grad))
-            candidate = advance(current, grad, alpha)
-            cand_value = oracle.evaluate(candidate.probs)[0]
             for _ in range(30):
                 if cand_value <= value - 1e-4 * alpha * grad_sq:
                     break
                 alpha *= 0.5
                 candidate = advance(current, grad, alpha)
-                cand_value = oracle.evaluate(candidate.probs)[0]
-        else:
-            alpha = _step_size(schedule, step_size, iteration)
-            candidate = advance(current, grad, alpha)
-        cand_value, cand_grad = oracle.evaluate(candidate.probs)
+                cand_value, cand_grad = oracle.evaluate(candidate.probs)
         if not (np.isfinite(cand_value) and np.all(np.isfinite(cand_grad))):
             raise NonFinite(
                 "objective became non-finite during descent",

@@ -9,14 +9,13 @@ of randomness in a coverage experiment is the draw of the training sets.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyTrainingSet, NonPositivePrior
-from .free_energy import ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
-from .simplex import SUPPORT_EPS, FiniteDistribution, LossVector, kl_divergence, log_sum_exp
+from .simplex import SUPPORT_EPS, FiniteDistribution, gibbs, kl_divergence, log_sum_exp
+from .simplex import _kl, _symbol_indices
 
 
 @dataclass(frozen=True)
@@ -89,31 +88,33 @@ class LearningProblem:
         )
 
 
-@dataclass(frozen=True)
-class GibbsPosterior:
-    q: FiniteDistribution
-    beta: float
-    training_set_id: str
-
-
 def _check_samples(problem: LearningProblem, s) -> np.ndarray:
     samples = np.asarray(s)
     if samples.ndim != 1 or samples.size == 0:
         raise EmptyTrainingSet("training set must be a nonempty vector of symbols")
-    samples = samples.astype(np.int64)
+    samples = _symbol_indices(samples, "training symbols")
     if np.any(samples < 0) or np.any(samples >= problem.n_outcomes):
         raise ValueError(f"training symbols must lie in [0, {problem.n_outcomes})")
     return samples
 
 
+def _check_beta(beta) -> float:
+    beta = float(beta)
+    if not np.isfinite(beta) or beta <= 0:
+        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
+    return beta
+
+
+def _check_delta(delta) -> float:
+    delta = float(delta)
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    return delta
+
+
 def training_losses(problem: LearningProblem, s) -> np.ndarray:
     """Empirical loss of every hypothesis on the sample: (1/m) sum_i l(x, z_i)."""
-    samples = _check_samples(problem, s)
-    return problem.loss_table[:, samples].mean(axis=1)
-
-
-def training_loss(problem: LearningProblem, x: int, s) -> float:
-    return float(training_losses(problem, s)[int(x)])
+    return problem.loss_table[:, _check_samples(problem, s)].mean(axis=1)
 
 
 def test_losses(problem: LearningProblem) -> np.ndarray:
@@ -121,24 +122,13 @@ def test_losses(problem: LearningProblem) -> np.ndarray:
     return problem.loss_table @ problem.data_model.probs
 
 
-def test_loss(problem: LearningProblem, x: int) -> float:
-    return float(test_losses(problem)[int(x)])
-
-
-def gibbs_posterior(problem: LearningProblem, s, beta: float) -> GibbsPosterior:
+def gibbs_posterior(problem: LearningProblem, s, beta: float) -> FiniteDistribution:
     """Minimizer of E_q[train loss] + (1/beta) KL(q || prior):
-    q(x) proportional to prior(x) exp(-beta * train_loss(x))."""
-    beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
-    samples = _check_samples(problem, s)
-    fe = FreeEnergyProblem(
-        LossVector(training_losses(problem, samples)),
-        1.0 / beta,
-        ComplexityPenalty.kl_to_prior(problem.prior),
-    )
-    tag = hashlib.sha1(samples.tobytes()).hexdigest()[:12]
-    return GibbsPosterior(minimize_closed_form(fe).q_opt, beta, f"m={samples.size}:{tag}")
+    q(x) proportional to prior(x) exp(-beta * train_loss(x)), the kl closed
+    form of minimize_closed_form at T = 1/beta."""
+    beta = _check_beta(beta)
+    train = training_losses(problem, s)
+    return FiniteDistribution(gibbs(-train / (1.0 / beta) + np.log(problem.prior.probs))[0])
 
 
 def dv_check(problem: LearningProblem, q: FiniteDistribution, s, beta: float):
@@ -149,8 +139,7 @@ def dv_check(problem: LearningProblem, q: FiniteDistribution, s, beta: float):
     lhs <= rhs for every q absolutely continuous w.r.t. the prior.
     """
     beta = float(beta)
-    samples = _check_samples(problem, s)
-    gaps = test_losses(problem) - training_losses(problem, samples)
+    gaps = test_losses(problem) - training_losses(problem, s)
     lhs = float(q.probs @ (beta * gaps))
     rhs = kl_divergence(q, problem.prior) + log_sum_exp(np.log(problem.prior.probs) + beta * gaps)
     return lhs, float(rhs)
@@ -164,16 +153,18 @@ def pac_bayes_bound(kl: float, m: int, delta: float, a: float, b: float) -> floa
     """
     kl = float(kl)
     m = int(m)
-    delta = float(delta)
     a, b = float(a), float(b)
     if kl < 0 or not np.isfinite(kl):
         raise ValueError(f"kl must be finite and >= 0, got {kl!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    delta = _check_delta(delta)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
+    return _bound(kl, m, delta, a, b)
+
+
+def _bound(kl: float, m: int, delta: float, a: float, b: float) -> float:
     return float(np.sqrt((b - a) ** 2 / (2.0 * m) * (kl + np.log(1.0 / delta))))
 
 
@@ -219,6 +210,11 @@ def coverage_experiment(
         raise ValueError(f"need at least 100 trials for a meaningful rate, got {trials}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    beta = _check_beta(beta)
+    delta = _check_delta(delta)
+    # gibbs_posterior, training_losses and pac_bayes_bound on the arrays checked above
+    t = 1.0 / beta
+    log_prior = np.log(problem.prior.probs)
     test_vec = test_losses(problem)
     n_violations = 0
     gap_total = 0.0
@@ -226,10 +222,10 @@ def coverage_experiment(
     for trial in range(trials):
         rng = np.random.default_rng((int(seed), trial))
         s = rng.choice(problem.n_outcomes, size=m, p=problem.data_model.probs)
-        post = gibbs_posterior(problem, s, beta)
-        gap = float(post.q.probs @ (test_vec - training_losses(problem, s)))
-        kl = kl_divergence(post.q, problem.prior)
-        bound = pac_bayes_bound(kl, m, delta, problem.a, problem.b)
+        train = problem.loss_table[:, s].mean(axis=1)
+        q = gibbs(-train / t + log_prior)[0]
+        gap = float(q @ (test_vec - train))
+        bound = _bound(_kl(q, problem.prior.probs), m, delta, problem.a, problem.b)
         if gap > bound:
             n_violations += 1
         gap_total += gap
@@ -241,7 +237,7 @@ def coverage_experiment(
         n_violations=n_violations,
         trials=trials,
         seed=int(seed),
-        beta=float(beta),
+        beta=beta,
         m=m,
-        delta=float(delta),
+        delta=delta,
     )

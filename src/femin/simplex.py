@@ -29,6 +29,14 @@ def _as_readonly_vector(values, name):
     return arr
 
 
+def _symbol_indices(values, name) -> np.ndarray:
+    """int64 copy of symbol indices; floats must be integral and at most 2**53 in size."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not np.all((np.floor(arr) == arr) & (np.abs(arr) <= 2.0**53)):
+        raise ValueError(f"{name} must be integers, got a non-integral entry")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """A probability vector over the alphabet {1, ..., N}.
@@ -70,15 +78,13 @@ class FiniteDistribution:
 
     @classmethod
     def normalized(cls, weights) -> "FiniteDistribution":
-        """Rescale nonnegative weights by their sum."""
+        """Rescale nonnegative weights by their sum; the constructor checks the result."""
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
         total = w.sum()
+        if not np.isfinite(total):
+            raise ValueError("weights must be finite")
         if total <= 0:
             raise ValueError("weights must have a positive sum")
         return cls(w / total)
@@ -138,13 +144,18 @@ def kl_divergence(q: FiniteDistribution, p: FiniteDistribution) -> float:
     where q(x) > 0 but p(x) = 0.
     """
     _require_same_size(q.probs, p.probs, "distributions")
-    qs = q.probs > SUPPORT_EPS
-    if np.any(qs & (p.probs <= SUPPORT_EPS)):
-        bad = int(np.nonzero(qs & (p.probs <= SUPPORT_EPS))[0][0])
-        raise SupportViolation(f"q has mass at symbol {bad} where p has none")
-    qq = q.probs[qs]
-    pp = p.probs[qs]
-    return float((qq * np.log(qq / pp)).sum())
+    unsupported = np.nonzero((q.probs > SUPPORT_EPS) & (p.probs <= SUPPORT_EPS))[0]
+    if unsupported.size:
+        raise SupportViolation(f"q has mass at symbol {int(unsupported[0])} where p has none")
+    return _kl(q.probs, p.probs)
+
+
+def _kl(q: np.ndarray, p: np.ndarray) -> float:
+    """kl_divergence of arrays, p > SUPPORT_EPS where q is; a sum rounding below 0 is 0."""
+    qs = q > SUPPORT_EPS
+    qq = q[qs]
+    pp = p[qs]
+    return max(0.0, float((qq * np.log(qq / pp)).sum()))
 
 
 def half_sq_l2(q: FiniteDistribution, p: FiniteDistribution) -> float:

@@ -59,6 +59,14 @@ class TestDvObjective:
         with pytest.raises(EmptySamples):
             SamplePair([0], [])
 
+    def test_non_integral_symbols_rejected(self):
+        for bad in ([0.5, 1.5], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="must be integers"):
+                SamplePair(bad, [0])
+        samples = SamplePair([0.0, 1.0], [1])
+        assert samples.samples_p.dtype == np.int64
+        assert samples.samples_p.tolist() == [0, 1]
+
     def test_symbol_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             dv_objective(TabularFunction.zeros(2), SamplePair([0, 2], [0]))

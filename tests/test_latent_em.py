@@ -55,6 +55,12 @@ class TestMarginalLogLikelihood:
         with pytest.raises(EmptyData):
             marginal_log_likelihood(model, [])
 
+    def test_non_integral_symbols_rejected(self):
+        model = MixtureModel.categorical(FiniteDistribution([0.5, 0.5]), [[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="must be integers"):
+            em_fit(model, [0.5, 1.0])
+        assert marginal_log_likelihood(model, [0.0, 1.0]) == marginal_log_likelihood(model, [0, 1])
+
 
 class TestEStep:
     def test_identical_components_give_uniform_rows(self):

@@ -133,6 +133,21 @@ class TestRunDescent:
             )
             assert np.abs(trace.iterates[-1].probs - target).max() <= 1e-6
 
+    def test_backtracking_evaluates_each_point_once(self):
+        quadratic = make_oracle("quadratic-to-target", [0.6, 0.3, 0.1])
+        evaluated = []
+
+        def evaluate(x):
+            evaluated.append(np.array(x).tobytes())
+            return quadratic.evaluate(x)
+
+        oracle = ObjectiveOracle(3, evaluate, "counted")
+        trace = run_descent(
+            oracle, FiniteDistribution([0.1, 0.2, 0.7]), step_size=50.0, schedule="backtracking", max_iter=40
+        )
+        assert np.any(trace.step_sizes < 50.0)  # some steps were halved
+        assert len(evaluated) == len(set(evaluated))
+
     def test_stationary_start_gives_unit_trace(self):
         target = np.array([0.25, 0.25, 0.5])
         oracle = make_oracle("quadratic-to-target", target)

@@ -14,13 +14,13 @@ from femin import (
     dv_check,
     free_energy,
     gibbs_posterior,
+    kl_divergence,
     pac_bayes_bound,
     total_variation,
-    training_loss,
     training_losses,
 )
 from femin.errors import EmptyTrainingSet
-from femin.pac_bayes import test_loss as exact_test_loss
+from femin.pac_bayes import CoverageReport
 from femin.pac_bayes import test_losses as exact_test_losses
 
 # frozen from the bound formula: sqrt((b-a)^2/(2m) * (kl + log(1/delta)))
@@ -51,7 +51,7 @@ class TestLossEvaluation:
         problem = LearningProblem(
             np.full((2, 3), 0.4), 0.0, 1.0, FiniteDistribution.uniform(2), FiniteDistribution.uniform(3)
         )
-        assert training_loss(problem, 0, [0, 1, 2, 0]) == pytest.approx(0.4, abs=1e-15)
+        assert training_losses(problem, [0, 1, 2, 0])[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_zero_one_counting(self):
         table = np.zeros((1, 2))
@@ -60,49 +60,56 @@ class TestLossEvaluation:
             table, 0.0, 1.0, FiniteDistribution.uniform(1), FiniteDistribution.uniform(2)
         )
         s = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]  # 3 mistakes out of 10
-        assert training_loss(problem, 0, s) == pytest.approx(0.3, abs=1e-15)
+        assert training_losses(problem, s)[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_single_sample(self):
         problem = small_problem()
-        assert training_loss(problem, 1, [2]) == problem.loss_table[1, 2]
+        assert training_losses(problem, [2])[1] == problem.loss_table[1, 2]
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             training_losses(small_problem(), [])
+
+    def test_non_integral_symbols_rejected(self):
+        problem = small_problem()
+        for s in ([0.7, 1.9], [0.0, np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="must be integers"):
+                training_losses(problem, s)
+        assert np.array_equal(training_losses(problem, [0.0, 3.0]), training_losses(problem, [0, 3]))
 
     def test_test_loss_point_mass(self):
         table = np.array([[0.1, 0.9]])
         problem = LearningProblem(
             table, 0.0, 1.0, FiniteDistribution.uniform(1), FiniteDistribution([0.0, 1.0])
         )
-        assert exact_test_loss(problem, 0) == pytest.approx(0.9, abs=1e-15)
+        assert exact_test_losses(problem)[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_test_loss_uniform_average(self):
         table = np.array([[0.0, 1.0]])
         problem = LearningProblem(
             table, 0.0, 1.0, FiniteDistribution.uniform(1), FiniteDistribution.uniform(2)
         )
-        assert exact_test_loss(problem, 0) == pytest.approx(0.5, abs=1e-15)
+        assert exact_test_losses(problem)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_test_loss_weighted_sum(self):
         table = np.array([[0.2, 0.5, 0.8]])
         data_model = FiniteDistribution([0.5, 0.3, 0.2])
         problem = LearningProblem(table, 0.0, 1.0, FiniteDistribution.uniform(1), data_model)
-        assert exact_test_loss(problem, 0) == pytest.approx(0.2 * 0.5 + 0.5 * 0.3 + 0.8 * 0.2, abs=1e-15)
+        assert exact_test_losses(problem)[0] == pytest.approx(0.2 * 0.5 + 0.5 * 0.3 + 0.8 * 0.2, abs=1e-15)
 
 
 class TestGibbsPosterior:
     def test_tiny_beta_returns_prior(self):
         problem = small_problem()
         post = gibbs_posterior(problem, [0, 1, 2], beta=1e-9)
-        assert total_variation(post.q, problem.prior) <= 1e-6
+        assert total_variation(post, problem.prior) <= 1e-6
 
     def test_large_beta_concentrates_on_erm(self):
         problem = small_problem(np.random.default_rng(9))
         s = [0, 1, 3, 2, 0]
         erm = int(np.argmin(training_losses(problem, s)))
         post = gibbs_posterior(problem, s, beta=1e4)
-        assert post.q.probs[erm] >= 1.0 - 1e-3
+        assert post.probs[erm] >= 1.0 - 1e-3
 
     def test_direct_arithmetic_two_hypotheses(self):
         table = np.array([[0.0, 0.0], [math.log(3.0), math.log(3.0)]])
@@ -110,7 +117,7 @@ class TestGibbsPosterior:
             table, 0.0, 2.0, FiniteDistribution.uniform(2), FiniteDistribution.uniform(2)
         )
         post = gibbs_posterior(problem, [0], beta=1.0)
-        assert np.allclose(post.q.probs, [0.75, 0.25], atol=1e-12)
+        assert np.allclose(post.probs, [0.75, 0.25], atol=1e-12)
 
     def test_optimality_against_grid(self):
         # Grid step 1e-3 up to 3 hypotheses; 4 hypotheses at 1e-2 (the finer
@@ -128,7 +135,7 @@ class TestGibbsPosterior:
                 ComplexityPenalty.kl_to_prior(problem.prior),
             )
             oracle = brute_force_minimize(fe, step)
-            assert free_energy(fe, post.q) <= oracle.j_opt + 1e-6
+            assert free_energy(fe, post) <= oracle.j_opt + 1e-6
 
     def test_loss_shift_leaves_posterior_unchanged(self):
         rng = np.random.default_rng(25)
@@ -137,16 +144,9 @@ class TestGibbsPosterior:
             problem.loss_table + 0.7, 0.7, 1.7, problem.prior, problem.data_model
         )
         s = [0, 2, 1, 1]
-        q1 = gibbs_posterior(problem, s, beta=2.0).q
-        q2 = gibbs_posterior(shifted, s, beta=2.0).q
+        q1 = gibbs_posterior(problem, s, beta=2.0)
+        q2 = gibbs_posterior(shifted, s, beta=2.0)
         assert total_variation(q1, q2) <= 1e-12
-
-    def test_provenance_tag_depends_on_sample(self):
-        problem = small_problem()
-        t1 = gibbs_posterior(problem, [0, 1], 1.0).training_set_id
-        t2 = gibbs_posterior(problem, [1, 0], 1.0).training_set_id
-        assert t1 != t2
-        assert t1 == gibbs_posterior(problem, [0, 1], 1.0).training_set_id
 
 
 class TestDvCheck:
@@ -224,7 +224,43 @@ class TestPacBayesBound:
         )
 
 
+def reference_coverage(problem, beta, m, delta, trials, seed):
+    """coverage_experiment as one public call per step of each trial."""
+    test_vec = exact_test_losses(problem)
+    n_violations, gap_total, bound_total = 0, 0.0, 0.0
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        s = rng.choice(problem.n_outcomes, size=m, p=problem.data_model.probs)
+        q = gibbs_posterior(problem, s, beta)
+        gap = float(q.probs @ (test_vec - training_losses(problem, s)))
+        bound = pac_bayes_bound(kl_divergence(q, problem.prior), m, delta, problem.a, problem.b)
+        n_violations += gap > bound
+        gap_total += gap
+        bound_total += bound
+    return CoverageReport(
+        n_violations / trials, gap_total / trials, bound_total / trials,
+        n_violations, trials, seed, float(beta), m, float(delta),
+    )
+
+
 class TestCoverageExperiment:
+    def test_matches_the_per_trial_reference(self):
+        rng = np.random.default_rng(41)
+        cases = [(zero_one_problem(), 2.0, 50, 0.05, 7), (zero_one_problem(seed=5), 0.3, 5, 0.2, 1)]
+        for seed in range(4):
+            problem = small_problem(rng, n_h=int(rng.integers(2, 9)), n_z=int(rng.integers(2, 7)))
+            cases.append((problem, float(rng.uniform(0.1, 30.0)), int(rng.integers(1, 60)), 0.1, seed))
+        for problem, beta, m, delta, seed in cases:
+            expected = reference_coverage(problem, beta, m, delta, 100, seed)
+            assert coverage_experiment(problem, beta, m, delta, 100, seed) == expected
+
+    def test_tiny_beta_keeps_the_prior(self):
+        # q within rounding of the prior: its KL must not round below zero
+        problem = small_problem(np.random.default_rng(43), n_h=8, n_z=5)
+        report = coverage_experiment(problem, beta=1e-9, m=20, delta=0.05, trials=200, seed=0)
+        assert report.n_violations == 0
+        assert report.mean_bound == pytest.approx(pac_bayes_bound(0.0, 20, 0.05, 0.0, 1.0), abs=1e-12)
+
     def test_deterministic_loss_never_violates(self):
         table = np.tile(np.array([[0.2], [0.8]]), (1, 3))  # loss independent of z
         problem = LearningProblem(

@@ -133,6 +133,16 @@ class TestKlDivergence:
             if total_variation(q, p) > 1e-3:
                 assert val > 0.0
 
+    def test_rounding_below_zero_gives_zero(self):
+        # q is within rounding of p; the terms sum to about -1e-16
+        p = FiniteDistribution(
+            [0.29927266982747547, 0.4487766273694334, 0.008717921248874971, 0.000998846282454981, 0.2422339352717613]
+        )
+        q = FiniteDistribution(
+            [0.2992726698176441, 0.44877662777762, 0.008717921253692801, 0.0009988462813580671, 0.24223393486968506]
+        )
+        assert kl_divergence(q, p) == 0.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             kl_divergence(FiniteDistribution.uniform(2), FiniteDistribution.uniform(3))
