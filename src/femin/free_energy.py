@@ -214,21 +214,33 @@ def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
     return Solution(FiniteDistribution(probs), float(-t * log_z))
 
 
-@lru_cache(maxsize=64)
 def _simplex_grid(total: int, parts: int) -> np.ndarray:
     """All length-`parts` nonnegative integer vectors summing to `total`,
-    in lexicographic order. Cached; rows are counts, not probabilities."""
-    if parts == 1:
-        out = np.array([[total]], dtype=np.int64)
-    else:
-        blocks = []
-        for first in range(total + 1):
-            rest = _simplex_grid(total - first, parts - 1)
-            head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-            blocks.append(np.hstack([head, rest]))
-        out = np.vstack(blocks)
+    in lexicographic order, read-only; rows are counts, not probabilities.
+
+    Built one coordinate per pass: a partial row with r units left is
+    repeated r + 1 times and takes 0, ..., r as its next coordinate, so each
+    pass keeps the order; the last coordinate is what is left.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        reps = left + 1
+        starts = np.cumsum(reps) - reps
+        nxt = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), nxt])
+        left = np.repeat(left, reps) - nxt
+    out = np.column_stack([rows, left])
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=8)
+def _grid_points(total: int, parts: int) -> np.ndarray:
+    """Read-only float rows counts / total of `_simplex_grid(total, parts)`."""
+    grid = _simplex_grid(total, parts) / total
+    grid.setflags(write=False)
+    return grid
 
 
 def _penalty_values_on_grid(penalty: ComplexityPenalty, grid: np.ndarray) -> np.ndarray:
@@ -250,8 +262,10 @@ def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Soluti
 
     Independent of the closed forms: evaluates J at every grid point whose
     coordinates are multiples of grid_step and returns the best, breaking
-    exact ties toward the lexicographically smallest point. Only meant as
-    an oracle; alphabets above 5 symbols are rejected.
+    exact ties toward the lexicographically smallest point. The grid has
+    C(1/grid_step + n - 1, n - 1) points on n symbols; it is built once per
+    (grid_step, n) and cached. Only meant as an oracle; alphabets above 5
+    symbols are rejected.
     """
     n_x = problem.alphabet_size
     if n_x > 5:
@@ -262,7 +276,7 @@ def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Soluti
     total = round(1.0 / step)
     if abs(total * step - 1.0) > 1e-9:
         raise ValueError(f"1/grid_step must be an integer, got grid_step={step!r}")
-    grid = _simplex_grid(total, n_x).astype(float) / total
+    grid = _grid_points(total, n_x)
     j_values = grid @ problem.loss.losses + problem.temperature * _penalty_values_on_grid(
         problem.penalty, grid
     )

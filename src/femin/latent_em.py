@@ -257,7 +257,7 @@ def default_init(data, n_components: int, kind: str, seed: int = 0, n_symbols: i
     weights = FiniteDistribution.uniform(k)
     rng = np.random.default_rng(seed)
     if kind == CATEGORICAL:
-        y = np.asarray(data).astype(np.int64)
+        y = _symbol_indices(data, "observations")
         if y.size == 0:
             raise EmptyData("data must be nonempty")
         v = int(n_symbols) if n_symbols is not None else int(y.max()) + 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import Infeasible, NotConverged
 from .simplex import FiniteDistribution, gibbs, log_sum_exp
@@ -94,6 +93,10 @@ def check_feasibility(constraints) -> FeasibilityReport:
         return FeasibilityReport(marginal_ok, False, violated)
     if len(constraints) == 1:
         return FeasibilityReport(marginal_ok, True, violated)
+
+    # Imported here: scipy.optimize is most of femin's import time, and only
+    # this linear program needs it.
+    from scipy.optimize import linprog
 
     # maximize t subject to F q = alpha, sum(q) = 1, q_i >= t; the optimum is
     # positive exactly when the targets sit in the relative interior.

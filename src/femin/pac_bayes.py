@@ -212,6 +212,9 @@ def coverage_experiment(
         raise ValueError(f"m must be >= 1, got {m}")
     beta = _check_beta(beta)
     delta = _check_delta(delta)
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     # gibbs_posterior, training_losses and pac_bayes_bound on the arrays checked above
     t = 1.0 / beta
     log_prior = np.log(problem.prior.probs)
@@ -220,7 +223,7 @@ def coverage_experiment(
     gap_total = 0.0
     bound_total = 0.0
     for trial in range(trials):
-        rng = np.random.default_rng((int(seed), trial))
+        rng = np.random.default_rng((seed, trial))
         s = rng.choice(problem.n_outcomes, size=m, p=problem.data_model.probs)
         train = problem.loss_table[:, s].mean(axis=1)
         q = gibbs(-train / t + log_prior)[0]
@@ -236,7 +239,7 @@ def coverage_experiment(
         mean_bound=bound_total / trials,
         n_violations=n_violations,
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         beta=beta,
         m=m,
         delta=delta,

@@ -314,6 +314,19 @@ class TestExitCodes:
             assert result.returncode == 3, f"{argv} -> {result.returncode}: {result.stderr}"
             assert json.loads(result.stderr)["exit_code"] == 3
 
+    def test_negative_seed_named(self, tmp_path):
+        problem = write_json(
+            tmp_path / "p.json",
+            {"loss_table": [[0.0, 1.0], [1.0, 0.0]], "a": 0.0, "b": 1.0, "prior": [0.5, 0.5], "data_model": [0.5, 0.5]},
+        )
+        result = run_cli(
+            "pacbayes", "--problem", problem, "--beta", 2.0, "--m", 10, "--delta", 0.05,
+            "--trials", 100, "--seed", -1,
+        )
+        assert result.returncode == 3
+        error = json.loads(result.stderr)
+        assert error["exit_code"] == 3 and error["message"] == "seed must be >= 0, got -1"
+
 
 class TestDeterminism:
     def test_pacbayes_byte_identical(self, tmp_path):

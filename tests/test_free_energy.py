@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femin import (
     AlphabetTooLarge,
@@ -18,7 +20,7 @@ from femin import (
     solve_tau,
     total_variation,
 )
-from femin.free_energy import HALF_SQ_L2, KL_TO_PRIOR, NEG_ENTROPY
+from femin.free_energy import HALF_SQ_L2, KL_TO_PRIOR, NEG_ENTROPY, _grid_points, _simplex_grid
 
 
 def neg_entropy_problem(losses, t=1.0):
@@ -188,6 +190,66 @@ class TestBruteForceOracle:
             brute_force_minimize(problem, 0.5)
         with pytest.raises(ValueError):
             brute_force_minimize(problem, 0.0)
+
+
+def recursive_simplex_grid(total, parts):
+    """Reference builder: first coordinate 0..total, each followed by the
+    grid of what is left on one symbol fewer."""
+    if parts == 1:
+        out = np.array([[total]], dtype=np.int64)
+    else:
+        blocks = []
+        for first in range(total + 1):
+            rest = recursive_simplex_grid(total - first, parts - 1)
+            head = np.full((rest.shape[0], 1), first, dtype=np.int64)
+            blocks.append(np.hstack([head, rest]))
+        out = np.vstack(blocks)
+    out.setflags(write=False)
+    return out
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize(
+        "shape", [(7, 1), (0, 1), (0, 3), (200, 2), (200, 3), (40, 4), (20, 5)], ids=lambda s: f"{s[0]}-{s[1]}"
+    )
+    def test_matches_recursive_builder(self, shape):
+        expected, grid = recursive_simplex_grid(*shape), _simplex_grid(*shape)
+        assert grid.dtype == np.int64
+        assert np.array_equal(grid, expected)
+        assert not grid.flags.writeable and not expected.flags.writeable
+
+    def test_one_build_per_shape(self):
+        # the cache is keyed on the top-level shape only, so switching shapes
+        # must not evict the other grid
+        _grid_points.cache_clear()
+        for _ in range(4):
+            for n in (2, 3):
+                brute_force_minimize(neg_entropy_problem(np.linspace(0.0, 1.0, n)), 1.0 / 200.0)
+        info = _grid_points.cache_info()
+        assert (info.misses, info.hits) == (2, 6)
+        assert not _grid_points(200, 3).flags.writeable
+
+
+@st.composite
+def grid_cases(draw):
+    """A problem with losses in [-1, 1], T in [0.5, 2] and a strictly
+    positive prior; on 4 symbols the grid has the coarsest step allowed."""
+    n, step = draw(st.sampled_from([(2, 1.0 / 200.0), (3, 1.0 / 200.0), (4, 1.0 / 100.0)]))
+    losses = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    t = draw(st.floats(0.5, 2.0))
+    prior = FiniteDistribution.normalized(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from([NEG_ENTROPY, KL_TO_PRIOR, HALF_SQ_L2]))
+    penalty = ComplexityPenalty(kind, None if kind == NEG_ENTROPY else prior)
+    return FreeEnergyProblem(LossVector(losses), t, penalty), step
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+def test_closed_form_never_above_grid(case):
+    problem, step = case
+    grid = brute_force_minimize(problem, step)
+    assert minimize_closed_form(problem).j_opt <= grid.j_opt + 1e-12
+    assert abs(grid.j_opt - free_energy(problem, grid.q_opt)) <= 1e-12
 
 
 class TestFenchelYoungGap:

@@ -60,6 +60,8 @@ class TestMarginalLogLikelihood:
         with pytest.raises(ValueError, match="must be integers"):
             em_fit(model, [0.5, 1.0])
         assert marginal_log_likelihood(model, [0.0, 1.0]) == marginal_log_likelihood(model, [0, 1])
+        with pytest.raises(ValueError, match="must be integers"):
+            default_init([0.7, 1.9, 1.2], 2, CATEGORICAL, n_symbols=2)
 
 
 class TestEStep:
