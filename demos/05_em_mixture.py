@@ -25,5 +25,5 @@ print("first five trace entries:", np.round(trace[:5], 4))
 print("trace monotone:", bool(np.all(np.diff(trace) >= -1e-10)))
 
 resp = e_step(model, data)
-hard = resp.matrix.argmax(axis=1)
+hard = resp.argmax(axis=1)
 print("\ncluster sizes from hard-assigned responsibilities:", np.bincount(hard))

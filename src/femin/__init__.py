@@ -61,7 +61,6 @@ from .latent_em import (
     CATEGORICAL,
     GAUSSIAN1D,
     MixtureModel,
-    Responsibilities,
     default_init,
     e_step,
     em_fit,
@@ -72,7 +71,6 @@ from .maxent import FeasibilityReport, MaxEntSolution, MomentConstraint, check_f
 from .mirror_descent import (
     DescentTrace,
     ObjectiveOracle,
-    euclidean_gd_step,
     make_oracle,
     neg_step,
     project_to_simplex,

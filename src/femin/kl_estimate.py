@@ -66,9 +66,6 @@ class TabularFunction:
             neg = np.where(self.excluded, -np.inf, neg)
         return neg
 
-    def with_values(self, values) -> "TabularFunction":
-        return TabularFunction(values, self.excluded)
-
 
 @dataclass(frozen=True)
 class LinearFeaturesFunction:
@@ -102,9 +99,6 @@ class LinearFeaturesFunction:
 
     def neg_values(self) -> np.ndarray:
         return -(self.features @ self.weights)
-
-    def with_weights(self, weights) -> "LinearFeaturesFunction":
-        return LinearFeaturesFunction(self.features, weights)
 
 
 @dataclass(frozen=True)
@@ -190,22 +184,16 @@ class FitResult:
     seed: int
 
 
-def _empirical_gradient(fn, p_hat: np.ndarray, log_q_counts: np.ndarray):
-    """Ascent direction of the empirical objective in the class parameters."""
-    symbol_grad = gibbs(log_q_counts + fn.neg_values())[0] - p_hat
-    if isinstance(fn, TabularFunction):
-        return symbol_grad
-    return fn.features.T @ symbol_grad
+def _ascent_terms(neg, samples_p, p_hat, log_q_counts, log_n_q: float):
+    """Empirical objective at -L = neg and its gradient in the per-symbol
+    values, from one Gibbs call.
 
-
-def _with_parameters(fn, params):
-    if isinstance(fn, TabularFunction):
-        return fn.with_values(params)
-    return fn.with_weights(params)
-
-
-def _parameters(fn):
-    return fn.values if isinstance(fn, TabularFunction) else fn.weights
+    gibbs(log n_q + neg) has log Z = log sum_x n_q(x) exp(-L(x)), which less
+    log n_q is the q-term, and probabilities q_L, whose difference from
+    p_hat is the gradient.
+    """
+    probs, log_z = gibbs(log_q_counts + neg)
+    return float(neg[samples_p].mean()) - (float(log_z) - log_n_q), probs - p_hat
 
 
 def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0.1, seed: int = 0) -> FitResult:
@@ -213,8 +201,9 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
 
     The objective is concave in the parameters of both supported classes, so
     ascent with per-step halving line search yields a nondecreasing trace.
-    The final objective value is the divergence estimate. The fit itself is
-    deterministic; seed is recorded for provenance only.
+    The final objective value is the divergence estimate. The loop runs on
+    parameter arrays and the function is built once, at exit. The fit itself
+    is deterministic; seed is recorded for provenance only.
     """
     steps = int(steps)
     if steps < 1:
@@ -224,30 +213,40 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
         raise ValueError("learning_rate must be > 0")
     _check_alphabet(init, samples)
     n = init.alphabet_size
-    p_hat = np.bincount(samples.samples_p, minlength=n) / samples.samples_p.size
+    samples_p = samples.samples_p
+    p_hat = np.bincount(samples_p, minlength=n) / samples_p.size
     with np.errstate(divide="ignore"):
         log_q_counts = np.log(np.bincount(samples.samples_q, minlength=n))  # -inf at zero counts
+    log_n_q = float(np.log(samples.samples_q.size))
+    tabular = isinstance(init, TabularFunction)
+    params = init.values if tabular else init.weights
 
-    fn = init
-    objective = dv_objective(fn, samples)
+    def evaluate(theta):
+        """(objective, ascent direction in theta) for the class's parameters theta."""
+        if tabular:
+            neg = -theta if init.excluded is None else np.where(init.excluded, -np.inf, -theta)
+            return _ascent_terms(neg, samples_p, p_hat, log_q_counts, log_n_q)
+        neg = -(init.features @ theta)
+        value, symbol_grad = _ascent_terms(neg, samples_p, p_hat, log_q_counts, log_n_q)
+        return value, init.features.T @ symbol_grad
+
+    objective, grad = evaluate(params)
     trace = [objective]
     if not np.isfinite(objective):
         raise NonFinite("objective is non-finite at the initial parameters", trace=np.array(trace))
     for _ in range(steps):
-        grad = _empirical_gradient(fn, p_hat, log_q_counts)
         step = learning_rate
-        accepted = None
         for _ in range(60):
-            candidate = _with_parameters(fn, _parameters(fn) + step * grad)
-            value = dv_objective(candidate, samples)
+            candidate = params + step * grad
+            if not np.all(np.isfinite(candidate)):
+                raise NonFinite("parameters diverged during the fit", trace=np.array(trace))
+            value, cand_grad = evaluate(candidate)
             if np.isfinite(value) and value >= objective - 1e-12:
-                accepted = (candidate, value)
                 break
             step *= 0.5
-        if accepted is None:
+        else:
             break  # no ascent direction survives halving: converged
-        fn, objective = accepted
-        if not np.all(np.isfinite(_parameters(fn))) or not np.isfinite(objective):
-            raise NonFinite("parameters diverged during the fit", trace=np.array(trace))
+        params, objective, grad = candidate, value, cand_grad
         trace.append(objective)
+    fn = TabularFunction(params, init.excluded) if tabular else LinearFeaturesFunction(init.features, params)
     return FitResult(fn, float(objective), np.array(trace), int(seed))

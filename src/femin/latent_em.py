@@ -111,24 +111,6 @@ class MixtureModel:
         raise ValueError(f"unknown mixture family {family!r}")
 
 
-@dataclass(frozen=True)
-class Responsibilities:
-    """Row i holds the posterior over components for observation i."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float, copy=True)
-        if m.ndim != 2 or m.size == 0:
-            raise ValueError("responsibilities must be a nonempty n x K matrix")
-        if np.any(m < 0) or not np.all(np.isfinite(m)):
-            raise ValueError("responsibilities must be finite and nonnegative")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("each responsibility row must sum to 1")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def _check_data(model: MixtureModel, data) -> np.ndarray:
     if model.kind == CATEGORICAL:
         y = np.asarray(data)
@@ -146,17 +128,22 @@ def _check_data(model: MixtureModel, data) -> np.ndarray:
     return y
 
 
-def _log_joint(model: MixtureModel, y: np.ndarray) -> np.ndarray:
+def _arrays(model: MixtureModel):
+    """(weights, theta) of a model; theta is (emissions, means, variances),
+    the dataclass's fields, with None for the other family's."""
+    return model.weights.probs, (model.emissions, model.means, model.variances)
+
+
+def _log_joint(weights: np.ndarray, theta, y: np.ndarray) -> np.ndarray:
     """n x K table of log(weight_k * p_k(y_i)); -inf marks zero probability."""
+    emissions, means, variances = theta
     with np.errstate(divide="ignore"):
-        log_w = np.log(model.weights.probs)
-        if model.kind == CATEGORICAL:
-            log_dens = np.log(model.emissions[:, y]).T
+        log_w = np.log(weights)
+        if emissions is not None:
+            log_dens = np.log(emissions[:, y]).T
         else:
-            diff = y[:, None] - model.means[None, :]
-            log_dens = -0.5 * (_LOG_2PI + np.log(model.variances)[None, :]) - diff**2 / (
-                2.0 * model.variances[None, :]
-            )
+            diff = y[:, None] - means[None, :]
+            log_dens = -0.5 * (_LOG_2PI + np.log(variances)[None, :]) - diff**2 / (2.0 * variances[None, :])
     return log_w[None, :] + log_dens
 
 
@@ -170,32 +157,39 @@ def _responsibilities(probs: np.ndarray, row_log_lik: np.ndarray) -> np.ndarray:
 
 def marginal_log_likelihood(model: MixtureModel, data) -> float:
     """sum_i log sum_k weight_k p_k(y_i), each inner sum max-shifted."""
-    return float(gibbs(_log_joint(model, _check_data(model, data)))[1].sum())
+    return float(gibbs(_log_joint(*_arrays(model), _check_data(model, data)))[1].sum())
 
 
-def e_step(model: MixtureModel, data) -> Responsibilities:
-    """Posterior over components for each observation (Bayes rule per row)."""
-    return Responsibilities(_responsibilities(*gibbs(_log_joint(model, _check_data(model, data)))))
+def e_step(model: MixtureModel, data) -> np.ndarray:
+    """Posterior over components for each observation (Bayes rule per row):
+    an n x K array whose rows sum to 1."""
+    return _responsibilities(*gibbs(_log_joint(*_arrays(model), _check_data(model, data))))
 
 
-def m_step(model: MixtureModel, data, resp: Responsibilities) -> MixtureModel:
-    """Responsibility-weighted maximum likelihood for weights and emissions.
+def m_step(model: MixtureModel, data, resp) -> MixtureModel:
+    """Responsibility-weighted maximum likelihood for weights and emissions,
+    given an n x K array of responsibilities (rows on the simplex).
 
     Components with responsibility mass below DEGENERATE_MASS keep their
     previous parameters and get the floor mass as weight, so K stays fixed;
     a DegenerateComponentWarning reports which ones.
     """
     y = _check_data(model, data)
-    r = resp.matrix
+    r = np.asarray(resp, dtype=float)
     if r.shape != (y.size, model.n_components):
-        raise ValueError(
-            f"responsibilities have shape {r.shape}, expected {(y.size, model.n_components)}"
-        )
-    return _m_step(model, y, r)
+        raise ValueError(f"responsibilities have shape {r.shape}, expected {(y.size, model.n_components)}")
+    if np.any(r < 0) or not np.all(np.isfinite(r)):
+        raise ValueError("responsibilities must be finite and nonnegative")
+    if np.any(np.abs(r.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("each responsibility row must sum to 1")
+    weights, theta = _m_step(_arrays(model)[1], y, r)
+    return MixtureModel(FiniteDistribution(weights), model.kind, *theta)
 
 
-def _m_step(model: MixtureModel, y: np.ndarray, r: np.ndarray) -> MixtureModel:
-    """m_step's arithmetic on checked observations and an n x K table."""
+def _m_step(theta, y: np.ndarray, r: np.ndarray):
+    """m_step's arithmetic on checked observations and an n x K table:
+    (weights, theta) from the previous theta."""
+    emissions, means, variances = theta
     mass = r.sum(axis=0)
     degenerate = mass < DEGENERATE_MASS
     if degenerate.any():
@@ -205,42 +199,41 @@ def _m_step(model: MixtureModel, y: np.ndarray, r: np.ndarray) -> MixtureModel:
             DegenerateComponentWarning,
             stacklevel=3,
         )
-    weights = FiniteDistribution.normalized(np.maximum(mass, DEGENERATE_MASS))
+    weights = np.maximum(mass, DEGENERATE_MASS)
+    weights = weights / weights.sum()
     safe_mass = np.where(degenerate, 1.0, mass)
-    if model.kind == CATEGORICAL:
-        one_hot = np.zeros((y.size, model.n_symbols))
+    if emissions is not None:
+        one_hot = np.zeros((y.size, emissions.shape[1]))
         one_hot[np.arange(y.size), y] = 1.0
-        counts = r.T @ one_hot
-        emissions = counts / safe_mass[:, None]
-        emissions[degenerate] = model.emissions[degenerate]
-        return MixtureModel.categorical(weights, emissions)
-    means = (r * y[:, None]).sum(axis=0) / safe_mass
-    sq = (r * (y[:, None] - means[None, :]) ** 2).sum(axis=0) / safe_mass
-    variances = np.maximum(sq, VARIANCE_FLOOR)
-    means = np.where(degenerate, model.means, means)
-    variances = np.where(degenerate, model.variances, variances)
-    return MixtureModel.gaussian1d(weights, means, variances)
+        new_emissions = (r.T @ one_hot) / safe_mass[:, None]
+        new_emissions[degenerate] = emissions[degenerate]
+        return weights, (new_emissions, None, None)
+    new_means = (r * y[:, None]).sum(axis=0) / safe_mass
+    sq = (r * (y[:, None] - new_means[None, :]) ** 2).sum(axis=0) / safe_mass
+    new_variances = np.where(degenerate, variances, np.maximum(sq, VARIANCE_FLOOR))
+    return weights, (None, np.where(degenerate, means, new_means), new_variances)
 
 
 def em_fit(init: MixtureModel, data, tol: float = 1e-8, max_iter: int = 500):
     """Alternate E and M steps until the marginal log-likelihood moves by
     less than tol. Returns (model, trace) with one trace entry per M-step;
-    the trace is nondecreasing up to rounding."""
+    the trace is nondecreasing up to rounding. The loop runs on arrays; the
+    model is built once, at exit."""
     y = _check_data(init, data)
-    model = init
-    probs, row_log_lik = gibbs(_log_joint(model, y))
+    weights, theta = _arrays(init)
+    probs, row_log_lik = gibbs(_log_joint(weights, theta, y))
     previous = float(row_log_lik.sum())
     trace = []
     for _ in range(int(max_iter)):
-        model = _m_step(model, y, _responsibilities(probs, row_log_lik))
+        weights, theta = _m_step(theta, y, _responsibilities(probs, row_log_lik))
         # This E-step serves both the trace entry and the next M-step.
-        probs, row_log_lik = gibbs(_log_joint(model, y))
+        probs, row_log_lik = gibbs(_log_joint(weights, theta, y))
         current = float(row_log_lik.sum())
         trace.append(current)
         if abs(current - previous) < tol:
             break
         previous = current
-    return model, np.array(trace)
+    return MixtureModel(FiniteDistribution(weights), init.kind, *theta), np.array(trace)
 
 
 def default_init(data, n_components: int, kind: str, seed: int = 0, n_symbols: int | None = None) -> MixtureModel:

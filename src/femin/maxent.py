@@ -70,9 +70,9 @@ class MaxEntSolution:
 
 
 def _stack_features(constraints):
-    features = np.vstack([c.feature for c in constraints])
-    if np.unique([c.feature.size for c in constraints]).size > 1:
+    if len({c.feature.size for c in constraints}) > 1:
         raise ValueError("all features must share the alphabet size")
+    features = np.vstack([c.feature for c in constraints])
     targets = np.array([c.target for c in constraints], dtype=float)
     return features, targets
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FlooringWarning, NonFinite, ZeroCoordinate
-from .free_energy import _projection_pivot
+from .free_energy import _project
 from .simplex import FiniteDistribution, gibbs
 
 # Smallest iterate coordinate for the multiplicative method.
@@ -110,20 +110,9 @@ def make_oracle(descriptor: str, *args, **kwargs) -> ObjectiveOracle:
     return oracle
 
 
-def euclidean_gd_step(x, grad, alpha: float):
-    """x - alpha * grad, the unconstrained gradient update."""
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if x.shape != grad.shape:
-        raise ValueError(f"x has shape {x.shape}, grad has shape {grad.shape}")
-    return x - float(alpha) * grad
-
-
 def project_to_simplex(v) -> FiniteDistribution:
     """Euclidean projection: clip at the pivot threshold and renormalize."""
-    v = np.asarray(v, dtype=float)
-    tau = _projection_pivot(v)
-    return FiniteDistribution.normalized(np.clip(v - tau, 0.0, None))
+    return FiniteDistribution(_project(np.asarray(v, dtype=float))[0])
 
 
 def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
@@ -163,17 +152,21 @@ def run_descent(
     step), the Euclidean method via projection after each step. The
     backtracking schedule halves the step until it achieves sufficient
     decrease. A candidate that fails to move the value by tol is discarded,
-    so a start at a stationary point leaves a trace of length 1.
+    so a start at a stationary point leaves a trace of length 1. Iterates
+    are arrays until the trace is built.
     """
     if method not in ("neg", "euclidean"):
         raise ValueError(f"method must be 'neg' or 'euclidean', got {method!r}")
     if schedule not in ("constant", "inv_sqrt", "backtracking"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    step_size = float(step_size)
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise ValueError(f"step_size must be finite and > 0, got {step_size!r}")
     if method == "neg" and np.any(x0.probs <= 0):
         raise ZeroCoordinate("the multiplicative method needs a strictly positive start")
 
-    current = x0
-    value, grad = oracle.evaluate(current.probs)
+    current = x0.probs
+    value, grad = oracle.evaluate(current)
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
         raise NonFinite("objective is non-finite at the starting point")
     iterates = [current]
@@ -181,20 +174,23 @@ def run_descent(
     step_sizes = []
     floored = False
 
-    def advance(point: FiniteDistribution, g, alpha: float) -> FiniteDistribution:
+    def advance(x: np.ndarray, g, alpha: float) -> np.ndarray:
         nonlocal floored
         if method == "euclidean":
-            return project_to_simplex(point.probs - alpha * g)
-        probs = gibbs(np.log(point.probs) - alpha * g)[0]
+            return _project(x - alpha * g)[0]
+        probs = gibbs(np.log(x) - alpha * g)[0]
         if np.any(probs < PROB_FLOOR):
             floored = True
             probs = np.maximum(probs, PROB_FLOOR)
-        return FiniteDistribution.normalized(probs)
+        return probs / probs.sum()
+
+    def result() -> DescentTrace:
+        return DescentTrace(tuple(map(FiniteDistribution, iterates)), np.array(values), np.array(step_sizes))
 
     for iteration in range(1, int(max_iter) + 1):
         alpha = step_size / np.sqrt(iteration) if schedule == "inv_sqrt" else step_size
         candidate = advance(current, grad, alpha)
-        cand_value, cand_grad = oracle.evaluate(candidate.probs)
+        cand_value, cand_grad = oracle.evaluate(candidate)
         if schedule == "backtracking":
             grad_sq = float(np.asarray(grad) @ np.asarray(grad))
             for _ in range(30):
@@ -202,12 +198,9 @@ def run_descent(
                     break
                 alpha *= 0.5
                 candidate = advance(current, grad, alpha)
-                cand_value, cand_grad = oracle.evaluate(candidate.probs)
+                cand_value, cand_grad = oracle.evaluate(candidate)
         if not (np.isfinite(cand_value) and np.all(np.isfinite(cand_grad))):
-            raise NonFinite(
-                "objective became non-finite during descent",
-                trace=DescentTrace(tuple(iterates), np.array(values), np.array(step_sizes)),
-            )
+            raise NonFinite("objective became non-finite during descent", trace=result())
         if abs(cand_value - value) < tol:
             break
         current, value, grad = candidate, float(cand_value), cand_grad
@@ -221,4 +214,4 @@ def run_descent(
             FlooringWarning,
             stacklevel=2,
         )
-    return DescentTrace(tuple(iterates), np.array(values), np.array(step_sizes))
+    return result()

@@ -105,6 +105,14 @@ def _check_beta(beta) -> float:
     return beta
 
 
+def _check_m(m) -> int:
+    if not (np.isfinite(float(m)) and float(m) == int(m)):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if int(m) < 1:
+        raise ValueError(f"m must be >= 1, got {int(m)}")
+    return int(m)
+
+
 def _check_delta(delta) -> float:
     delta = float(delta)
     if not (0.0 < delta < 1.0):
@@ -138,7 +146,7 @@ def dv_check(problem: LearningProblem, q: FiniteDistribution, s, beta: float):
     rhs = KL(q || prior) + log E_{x~prior}[exp(beta * (test - train)(x))];
     lhs <= rhs for every q absolutely continuous w.r.t. the prior.
     """
-    beta = float(beta)
+    beta = _check_beta(beta)
     gaps = test_losses(problem) - training_losses(problem, s)
     lhs = float(q.probs @ (beta * gaps))
     rhs = kl_divergence(q, problem.prior) + log_sum_exp(np.log(problem.prior.probs) + beta * gaps)
@@ -152,12 +160,10 @@ def pac_bayes_bound(kl: float, m: int, delta: float, a: float, b: float) -> floa
     any posterior with the given KL to the prior, for losses in [a, b].
     """
     kl = float(kl)
-    m = int(m)
     a, b = float(a), float(b)
     if kl < 0 or not np.isfinite(kl):
         raise ValueError(f"kl must be finite and >= 0, got {kl!r}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _check_m(m)
     delta = _check_delta(delta)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
@@ -205,11 +211,9 @@ def coverage_experiment(
     violation rate should stay within binomial slack of delta.
     """
     trials = int(trials)
-    m = int(m)
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful rate, got {trials}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _check_m(m)
     beta = _check_beta(beta)
     delta = _check_delta(delta)
     seed = int(seed)

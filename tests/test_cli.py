@@ -272,6 +272,14 @@ class TestExitCodes:
             assert result.returncode == 0
             assert result.stdout.startswith("usage: femin")
 
+    def test_mirror_step_size_must_be_positive_and_finite(self):
+        for alpha in ("-0.3", "nan"):
+            result = run_cli("mirror", "--oracle", "linear", "--l=0,1,2", "--alpha", alpha, "--iters", 3)
+            assert result.returncode == 3, f"--alpha {alpha} -> {result.returncode}"
+            error = json.loads(result.stderr)
+            assert error["exit_code"] == 3 and "step_size must be finite and > 0" in error["message"]
+            assert result.stdout == ""
+
     def test_negative_list_with_equals_sign(self):
         result = run_cli("mirror", "--l=-1,2", "--iters", 1)
         assert result.returncode == 0, result.stderr

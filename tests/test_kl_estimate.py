@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femin import (
     EmptySamples,
@@ -15,6 +17,7 @@ from femin import (
     dv_objective_population,
     exact_dv_optimum,
     fit_dv,
+    gibbs,
     kl_divergence,
 )
 
@@ -194,6 +197,14 @@ class TestFitDv:
                 fit_dv(huge, samples, steps=5, learning_rate=0.1)
         assert err.value.trace is not None
 
+    def test_diverging_parameters_raise_non_finite(self):
+        samples = SamplePair([0, 0, 1], [1, 1, 0])
+        init = LinearFeaturesFunction.zeros([[1e300], [-1e300]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFinite, match="parameters diverged") as err:
+                fit_dv(init, samples, steps=5, learning_rate=1e10)
+        assert err.value.trace.size == 1
+
     def test_parameter_validation(self):
         samples = SamplePair([0], [0])
         with pytest.raises(ValueError):
@@ -205,3 +216,96 @@ class TestFitDv:
         samples = SamplePair([0, 1], [1, 0])
         result = fit_dv(TabularFunction.zeros(2), samples, steps=5, seed=42)
         assert result.seed == 42
+
+
+def dataclass_fit_dv(init, samples, steps, learning_rate):
+    """Reference loop: a function object and a dv_objective call per
+    candidate, and a separate Gibbs pass for each gradient."""
+    tabular = isinstance(init, TabularFunction)
+    n = init.alphabet_size
+    p_hat = np.bincount(samples.samples_p, minlength=n) / samples.samples_p.size
+    with np.errstate(divide="ignore"):
+        log_q_counts = np.log(np.bincount(samples.samples_q, minlength=n))
+
+    def rebuild(params):
+        return TabularFunction(params, init.excluded) if tabular else LinearFeaturesFunction(init.features, params)
+
+    fn = init
+    objective = dv_objective(fn, samples)
+    trace = [objective]
+    for _ in range(steps):
+        symbol_grad = gibbs(log_q_counts + fn.neg_values())[0] - p_hat
+        grad = symbol_grad if tabular else fn.features.T @ symbol_grad
+        params = fn.values if tabular else fn.weights
+        step = learning_rate
+        accepted = None
+        for _ in range(60):
+            candidate = rebuild(params + step * grad)
+            value = dv_objective(candidate, samples)
+            if np.isfinite(value) and value >= objective - 1e-12:
+                accepted = (candidate, value)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        fn, objective = accepted
+        trace.append(objective)
+    return fn, np.array(trace)
+
+
+class TestArrayLoopFitDv:
+    """fit_dv reads the q-term off the gradient's Gibbs call; it must stay
+    within 1e-12 of the loop that evaluates dv_objective per candidate."""
+
+    @staticmethod
+    def assert_close(init, samples, steps, learning_rate):
+        result = fit_dv(init, samples, steps=steps, learning_rate=learning_rate)
+        ref_fn, ref_trace = dataclass_fit_dv(init, samples, steps, learning_rate)
+        assert result.trace.size == ref_trace.size
+        assert np.allclose(result.trace, ref_trace, rtol=1e-12, atol=1e-12)
+        assert abs(result.kl_estimate - ref_trace[-1]) <= 1e-12
+        ours = result.function.values if isinstance(init, TabularFunction) else result.function.weights
+        ref = ref_fn.values if isinstance(init, TabularFunction) else ref_fn.weights
+        assert np.allclose(ours, ref, rtol=1e-12, atol=1e-12)
+        assert type(result.function) is type(init)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tabular_matches_reference(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        p = rng.dirichlet(np.ones(6))
+        q = rng.dirichlet(np.ones(6)) * 0.5 + 0.5 / 6
+        samples = draw_pair(rng, p, q, 300, 300)
+        self.assert_close(TabularFunction.zeros(6), samples, steps=200, learning_rate=0.5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_matches_reference(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        samples = draw_pair(rng, rng.dirichlet(np.ones(5)), np.full(5, 0.2), 400, 400)
+        features = rng.normal(size=(5, 3))
+        self.assert_close(LinearFeaturesFunction.zeros(features), samples, steps=150, learning_rate=0.3)
+
+    def test_excluded_symbols_match_reference(self):
+        rng = np.random.default_rng(601)
+        samples = draw_pair(rng, np.array([0.0, 0.5, 0.5]), np.array([0.3, 0.3, 0.4]), 500, 500)
+        init = TabularFunction([0.0, 0.1, -0.2], excluded=[True, False, False])
+        self.assert_close(init, samples, steps=100, learning_rate=1.0)
+        assert fit_dv(init, samples, steps=5).function.excluded.tolist() == [True, False, False]
+
+    def test_missing_q_symbols_match_reference(self):
+        # symbols absent from the q-sample carry log n_q = -inf in the Gibbs call
+        samples = SamplePair([0, 1, 1, 2, 2, 2], [0, 0, 1, 3])
+        self.assert_close(TabularFunction.zeros(4), samples, steps=50, learning_rate=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 80), st.integers(1, 80), st.floats(0.05, 5.0))
+def test_fit_dv_trace_and_bound(seed, n, n_p, n_q, learning_rate):
+    rng = np.random.default_rng(seed)
+    samples = SamplePair(rng.integers(0, n, n_p), rng.integers(0, n, n_q))
+    result = fit_dv(TabularFunction.zeros(n), samples, steps=40, learning_rate=learning_rate)
+    assert np.all(np.diff(result.trace) >= -1e-12)
+    p_hat = np.bincount(samples.samples_p, minlength=n) / n_p
+    q_hat = np.bincount(samples.samples_q, minlength=n) / n_q
+    if np.all(q_hat[p_hat > 0] > 0):
+        kl_hat = kl_divergence(FiniteDistribution(p_hat), FiniteDistribution(q_hat))
+        assert result.kl_estimate <= kl_hat + 1e-9

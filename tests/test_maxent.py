@@ -61,6 +61,13 @@ class TestCheckFeasibility:
     def test_empty_list(self):
         assert check_feasibility([]).feasible
 
+    def test_mismatched_alphabet_sizes_rejected(self):
+        constraints = [MomentConstraint([0, 1, 2], 1.0), MomentConstraint([0, 1], 0.5)]
+        with pytest.raises(ValueError, match="all features must share the alphabet size"):
+            check_feasibility(constraints)
+        with pytest.raises(ValueError, match="all features must share the alphabet size"):
+            solve_maxent(constraints, 3)
+
 
 class TestSolveMaxent:
     def test_binary_indicator_constraint(self):

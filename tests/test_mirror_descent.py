@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femin import (
     ComplexityPenalty,
@@ -7,9 +11,10 @@ from femin import (
     FlooringWarning,
     FreeEnergyProblem,
     LossVector,
+    NonFinite,
     ObjectiveOracle,
     ZeroCoordinate,
-    euclidean_gd_step,
+    gibbs,
     make_oracle,
     minimize_closed_form,
     neg_step,
@@ -18,24 +23,7 @@ from femin import (
     total_variation,
     validate_gradient,
 )
-
-
-class TestEuclideanStep:
-    def test_zero_gradient_is_stationary(self):
-        x = np.array([0.4, 0.6])
-        assert np.array_equal(euclidean_gd_step(x, np.zeros(2), 0.5), x)
-
-    def test_direct_arithmetic(self):
-        out = euclidean_gd_step(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 0.5)
-        assert np.allclose(out, [0.5, 0.5], atol=1e-15)
-
-    def test_zero_step_size(self):
-        x = np.array([0.3, 0.7])
-        assert np.array_equal(euclidean_gd_step(x, np.array([2.0, -1.0]), 0.0), x)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_gd_step(np.zeros(2), np.zeros(3), 0.1)
+from femin.free_energy import _projection_pivot
 
 
 class TestNegStep:
@@ -86,6 +74,13 @@ class TestProjection:
     def test_projects_outside_points(self):
         q = project_to_simplex(np.array([1.5, -0.5]))
         assert np.allclose(q.probs, [1.0, 0.0], atol=1e-12)
+
+    def test_matches_clip_and_normalize_bitwise(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            v = rng.normal(scale=float(rng.uniform(0.1, 5.0)), size=int(rng.integers(1, 12)))
+            ref = FiniteDistribution.normalized(np.clip(v - _projection_pivot(v), 0.0, None))
+            assert np.array_equal(project_to_simplex(v).probs, ref.probs)
 
 
 class TestOracles:
@@ -226,3 +221,101 @@ class TestRunDescent:
             run_descent(oracle, FiniteDistribution.uniform(2), method="newton")
         with pytest.raises(ValueError):
             run_descent(oracle, FiniteDistribution.uniform(2), schedule="warmup")
+        for bad in (-0.3, 0.0, np.nan, np.inf, -np.inf):
+            for method in ("neg", "euclidean"):
+                with pytest.raises(ValueError, match="step_size must be finite and > 0"):
+                    run_descent(oracle, FiniteDistribution.uniform(2), method=method, step_size=bad)
+
+    def test_non_finite_trace_holds_distributions(self):
+        def evaluate(x):
+            value = float(x[0]) if x[0] > 0.3 else np.inf
+            return value, np.array([1.0, 0.0])
+
+        oracle = ObjectiveOracle(2, evaluate, "cliff")
+        with pytest.raises(NonFinite) as err:
+            run_descent(oracle, FiniteDistribution([0.5, 0.5]), step_size=0.1, max_iter=50, tol=0.0)
+        trace = err.value.trace
+        assert len(trace.iterates) == trace.values.size == trace.step_sizes.size + 1 >= 2
+        assert all(isinstance(point, FiniteDistribution) for point in trace.iterates)
+        assert np.allclose([point.probs[0] for point in trace.iterates], trace.values, atol=0.0)
+
+
+def dataclass_run_descent(oracle, x0, method, step_size, schedule, max_iter, tol):
+    """Reference loop: a FiniteDistribution per candidate (flooring warning left out)."""
+
+    def advance(point, g, alpha):
+        if method == "euclidean":
+            v = point.probs - alpha * g
+            return FiniteDistribution.normalized(np.clip(v - _projection_pivot(v), 0.0, None))
+        probs = gibbs(np.log(point.probs) - alpha * g)[0]
+        return FiniteDistribution.normalized(np.maximum(probs, 1e-300))
+
+    current = x0
+    value, grad = oracle.evaluate(current.probs)
+    iterates, values, step_sizes = [current], [float(value)], []
+    for iteration in range(1, max_iter + 1):
+        alpha = step_size / np.sqrt(iteration) if schedule == "inv_sqrt" else step_size
+        candidate = advance(current, grad, alpha)
+        cand_value, cand_grad = oracle.evaluate(candidate.probs)
+        if schedule == "backtracking":
+            grad_sq = float(np.asarray(grad) @ np.asarray(grad))
+            for _ in range(30):
+                if cand_value <= value - 1e-4 * alpha * grad_sq:
+                    break
+                alpha *= 0.5
+                candidate = advance(current, grad, alpha)
+                cand_value, cand_grad = oracle.evaluate(candidate.probs)
+        if abs(cand_value - value) < tol:
+            break
+        current, value, grad = candidate, float(cand_value), cand_grad
+        iterates.append(current)
+        values.append(value)
+        step_sizes.append(alpha)
+    return iterates, np.array(values), np.array(step_sizes)
+
+
+class TestArrayLoopDescent:
+    """run_descent keeps its iterates as arrays; it must reproduce the
+    dataclass loop bit for bit."""
+
+    ORACLES = [
+        ("linear", ([0.3, -0.2, 0.8, 0.1, 1.0],)),
+        ("quadratic-to-target", ([0.5, 0.3, 0.0, 0.2, 0.0],)),
+        ("entropy-regularized-linear", ([0.0, 1.0, 0.4, -0.3, 0.2], 0.2)),
+    ]
+
+    @pytest.mark.parametrize("schedule", ["constant", "inv_sqrt", "backtracking"])
+    @pytest.mark.parametrize("method", ["neg", "euclidean"])
+    def test_bitwise(self, method, schedule):
+        rng = np.random.default_rng(53)
+        for name, args in self.ORACLES:
+            if method == "euclidean" and name == "entropy-regularized-linear":
+                continue  # that oracle needs strictly positive points
+            oracle = make_oracle(name, *args)
+            for step_size in (0.05, 0.7, 4.0):
+                x0 = FiniteDistribution(rng.dirichlet(np.ones(5)) * 0.9 + 0.02)
+                trace = run_descent(oracle, x0, method, step_size, schedule, max_iter=150, tol=1e-13)
+                iterates, values, step_sizes = dataclass_run_descent(
+                    oracle, x0, method, step_size, schedule, max_iter=150, tol=1e-13
+                )
+                assert len(trace.iterates) == len(iterates)
+                for ours, ref in zip(trace.iterates, iterates):
+                    assert np.array_equal(ours.probs, ref.probs)
+                assert np.array_equal(trace.values, values)
+                assert np.array_equal(trace.step_sizes, step_sizes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=8),
+    st.sampled_from(["neg", "euclidean"]),
+    st.floats(0.01, 50.0),
+)
+def test_backtracking_values_nonincreasing(target, method, step_size):
+    oracle = make_oracle("quadratic-to-target", target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FlooringWarning)  # far targets drive neg coordinates to the floor
+        trace = run_descent(
+            oracle, FiniteDistribution.uniform(len(target)), method, step_size, "backtracking", max_iter=60, tol=1e-12
+        )
+    assert np.all(np.diff(trace.values) <= 0.0)

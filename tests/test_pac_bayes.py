@@ -176,6 +176,12 @@ class TestDvCheck:
             lhs, rhs = dv_check(problem, q, s, beta)
             assert lhs <= rhs + 1e-9
 
+    def test_beta_validated(self):
+        problem = small_problem(np.random.default_rng(39))
+        for beta in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be finite and > 0"):
+                dv_check(problem, problem.prior, [0, 1], beta)
+
 
 class TestPacBayesBound:
     def test_frozen_arithmetic(self):
@@ -216,6 +222,15 @@ class TestPacBayesBound:
             pac_bayes_bound(0.0, 10, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             pac_bayes_bound(0.0, 10, 0.05, 1.0, 1.0)
+
+    def test_non_integral_m_rejected(self):
+        for m in (2.7, 0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                pac_bayes_bound(0.1, m, 0.05, 0.0, 1.0)
+            with pytest.raises(ValueError, match="m must be an integer"):
+                coverage_experiment(small_problem(), 1.0, m, 0.05, trials=100, seed=0)
+        assert pac_bayes_bound(0.1, 2.0, 0.05, 0.0, 1.0) == pac_bayes_bound(0.1, 2, 0.05, 0.0, 1.0)
+        assert pac_bayes_bound(0.1, np.int64(7), 0.05, 0.0, 1.0) == pac_bayes_bound(0.1, 7, 0.05, 0.0, 1.0)
 
     def test_negative_a_accepted(self):
         # only the width b - a matters
