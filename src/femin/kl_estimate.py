@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamples, NonFinite, SupportViolation
-from .simplex import SUPPORT_EPS, FiniteDistribution, _symbol_indices, gibbs, log_sum_exp
+from .simplex import SUPPORT_EPS, FiniteDistribution, _check_count, _symbol_indices, gibbs, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,7 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
     parameter arrays and the function is built once, at exit. The fit itself
     is deterministic; seed is recorded for provenance only.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _check_count(steps, "steps", 1)
     learning_rate = float(learning_rate)
     if not (learning_rate > 0):
         raise ValueError("learning_rate must be > 0")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComponentWarning, EmptyData
-from .simplex import FiniteDistribution, _symbol_indices, gibbs
+from .simplex import FiniteDistribution, _check_count, _symbol_indices, gibbs
 
 CATEGORICAL = "categorical"
 GAUSSIAN1D = "gaussian1d"
@@ -220,11 +220,12 @@ def em_fit(init: MixtureModel, data, tol: float = 1e-8, max_iter: int = 500):
     the trace is nondecreasing up to rounding. The loop runs on arrays; the
     model is built once, at exit."""
     y = _check_data(init, data)
+    max_iter = _check_count(max_iter, "max_iter", 0)
     weights, theta = _arrays(init)
     probs, row_log_lik = gibbs(_log_joint(weights, theta, y))
     previous = float(row_log_lik.sum())
     trace = []
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         weights, theta = _m_step(theta, y, _responsibilities(probs, row_log_lik))
         # This E-step serves both the trace entry and the next M-step.
         probs, row_log_lik = gibbs(_log_joint(weights, theta, y))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FlooringWarning, NonFinite, ZeroCoordinate
 from .free_energy import _project
-from .simplex import FiniteDistribution, gibbs
+from .simplex import FiniteDistribution, _check_count, gibbs
 
 # Smallest iterate coordinate for the multiplicative method.
 PROB_FLOOR = 1e-300
@@ -151,9 +151,10 @@ def run_descent(
     construction (log-weights, renormalized and floored at 1e-300 each
     step), the Euclidean method via projection after each step. The
     backtracking schedule halves the step until it achieves sufficient
-    decrease. A candidate that fails to move the value by tol is discarded,
-    so a start at a stationary point leaves a trace of length 1. Iterates
-    are arrays until the trace is built.
+    decrease; if the candidate left after 30 halvings raises the value, it
+    is rejected and the descent stops. A candidate that fails to move the
+    value by tol is discarded, so a start at a stationary point leaves a
+    trace of length 1. Iterates are arrays until the trace is built.
     """
     if method not in ("neg", "euclidean"):
         raise ValueError(f"method must be 'neg' or 'euclidean', got {method!r}")
@@ -162,6 +163,7 @@ def run_descent(
     step_size = float(step_size)
     if not (np.isfinite(step_size) and step_size > 0):
         raise ValueError(f"step_size must be finite and > 0, got {step_size!r}")
+    max_iter = _check_count(max_iter, "max_iter", 0)
     if method == "neg" and np.any(x0.probs <= 0):
         raise ZeroCoordinate("the multiplicative method needs a strictly positive start")
 
@@ -187,7 +189,7 @@ def run_descent(
     def result() -> DescentTrace:
         return DescentTrace(tuple(map(FiniteDistribution, iterates)), np.array(values), np.array(step_sizes))
 
-    for iteration in range(1, int(max_iter) + 1):
+    for iteration in range(1, max_iter + 1):
         alpha = step_size / np.sqrt(iteration) if schedule == "inv_sqrt" else step_size
         candidate = advance(current, grad, alpha)
         cand_value, cand_grad = oracle.evaluate(candidate)
@@ -201,7 +203,7 @@ def run_descent(
                 cand_value, cand_grad = oracle.evaluate(candidate)
         if not (np.isfinite(cand_value) and np.all(np.isfinite(cand_grad))):
             raise NonFinite("objective became non-finite during descent", trace=result())
-        if abs(cand_value - value) < tol:
+        if abs(cand_value - value) < tol or (schedule == "backtracking" and cand_value > value):
             break
         current, value, grad = candidate, float(cand_value), cand_grad
         iterates.append(current)

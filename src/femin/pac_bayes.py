@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyTrainingSet, NonPositivePrior
 from .simplex import SUPPORT_EPS, FiniteDistribution, gibbs, kl_divergence, log_sum_exp
-from .simplex import _kl, _symbol_indices
+from .simplex import _check_count, _kl, _symbol_indices
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,6 @@ def _check_beta(beta) -> float:
     return beta
 
 
-def _check_m(m) -> int:
-    if not (np.isfinite(float(m)) and float(m) == int(m)):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if int(m) < 1:
-        raise ValueError(f"m must be >= 1, got {int(m)}")
-    return int(m)
-
-
 def _check_delta(delta) -> float:
     delta = float(delta)
     if not (0.0 < delta < 1.0):
@@ -163,7 +155,7 @@ def pac_bayes_bound(kl: float, m: int, delta: float, a: float, b: float) -> floa
     a, b = float(a), float(b)
     if kl < 0 or not np.isfinite(kl):
         raise ValueError(f"kl must be finite and >= 0, got {kl!r}")
-    m = _check_m(m)
+    m = _check_count(m, "m", 1)
     delta = _check_delta(delta)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
@@ -210,15 +202,11 @@ def coverage_experiment(
     are reproducible independently of execution order. The observed
     violation rate should stay within binomial slack of delta.
     """
-    trials = int(trials)
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials for a meaningful rate, got {trials}")
-    m = _check_m(m)
+    trials = _check_count(trials, "trials", 100)  # fewer give no meaningful rate
+    m = _check_count(m, "m", 1)
     beta = _check_beta(beta)
     delta = _check_delta(delta)
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _check_count(seed, "seed", 0)
     # gibbs_posterior, training_losses and pac_bayes_bound on the arrays checked above
     t = 1.0 / beta
     log_prior = np.log(problem.prior.probs)

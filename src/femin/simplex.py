@@ -37,6 +37,15 @@ def _symbol_indices(values, name) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _check_count(value, name, minimum) -> int:
+    """A count as an int >= minimum; integral floats pass, other values raise."""
+    if not (isinstance(value, (int, np.integer)) or (np.isfinite(value) and value == int(value))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if int(value) < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {int(value)}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """A probability vector over the alphabet {1, ..., N}.

@@ -212,6 +212,14 @@ class TestFitDv:
         with pytest.raises(ValueError):
             fit_dv(TabularFunction.zeros(1), samples, learning_rate=0.0)
 
+    def test_step_count_not_truncated(self):
+        samples = SamplePair([0, 1, 1], [1, 0, 0])
+        for steps in (2.9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                fit_dv(TabularFunction.zeros(2), samples, steps=steps)
+        integral = fit_dv(TabularFunction.zeros(2), samples, steps=3.0)
+        assert np.array_equal(integral.trace, fit_dv(TabularFunction.zeros(2), samples, steps=3).trace)
+
     def test_seed_recorded(self):
         samples = SamplePair([0, 1], [1, 0])
         result = fit_dv(TabularFunction.zeros(2), samples, steps=5, seed=42)

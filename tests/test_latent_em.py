@@ -358,6 +358,12 @@ class TestArrayLoopEm:
         with pytest.warns(DegenerateComponentWarning):
             self.assert_bitwise(init, data, max_iter=5)
 
+    def test_iteration_count_not_truncated(self):
+        init = two_gaussians((-1.0, 1.0))
+        for bad, message in ((2.5, "an integer"), (np.nan, "an integer"), (np.inf, "an integer"), (-1, ">= 0")):
+            with pytest.raises(ValueError, match=f"max_iter must be {message}"):
+                em_fit(init, [0.5, -0.5], max_iter=bad)
+
     def test_zero_iterations_return_the_start(self):
         init = two_gaussians((-1.0, 1.0))
         model, trace = em_fit(init, [0.5, -0.5], max_iter=0)

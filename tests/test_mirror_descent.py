@@ -226,6 +226,26 @@ class TestRunDescent:
                 with pytest.raises(ValueError, match="step_size must be finite and > 0"):
                     run_descent(oracle, FiniteDistribution.uniform(2), method=method, step_size=bad)
 
+    def test_iteration_count_not_truncated(self):
+        oracle = make_oracle("linear", [0.0, 1.0])
+        x0 = FiniteDistribution.uniform(2)
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -5"):
+            run_descent(oracle, x0, max_iter=-5)
+        for bad in (2.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                run_descent(oracle, x0, max_iter=bad)
+        assert np.array_equal(run_descent(oracle, x0, max_iter=3.0).values, run_descent(oracle, x0, max_iter=3).values)
+
+    def test_backtracking_rejects_the_last_failed_candidate(self):
+        # Near the optimum every candidate fails sufficient decrease; the one
+        # left after 30 halvings used to be accepted even when it raised the value.
+        oracle = make_oracle("quadratic-to-target", [0.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FlooringWarning)
+            trace = run_descent(oracle, FiniteDistribution.uniform(2), "neg", 7.0, "backtracking", max_iter=60, tol=0.0)
+        assert np.all(np.diff(trace.values) <= 0.0)
+        assert trace.values.size < 61
+
     def test_non_finite_trace_holds_distributions(self):
         def evaluate(x):
             value = float(x[0]) if x[0] > 0.3 else np.inf
@@ -265,6 +285,9 @@ def dataclass_run_descent(oracle, x0, method, step_size, schedule, max_iter, tol
                 alpha *= 0.5
                 candidate = advance(current, grad, alpha)
                 cand_value, cand_grad = oracle.evaluate(candidate.probs)
+            else:
+                if cand_value > value:
+                    break  # the candidate left after 30 halvings raises the value: rejected, and the descent stops
         if abs(cand_value - value) < tol:
             break
         current, value, grad = candidate, float(cand_value), cand_grad
@@ -316,6 +339,6 @@ def test_backtracking_values_nonincreasing(target, method, step_size):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FlooringWarning)  # far targets drive neg coordinates to the floor
         trace = run_descent(
-            oracle, FiniteDistribution.uniform(len(target)), method, step_size, "backtracking", max_iter=60, tol=1e-12
+            oracle, FiniteDistribution.uniform(len(target)), method, step_size, "backtracking", max_iter=60, tol=0.0
         )
     assert np.all(np.diff(trace.values) <= 0.0)

@@ -308,6 +308,16 @@ class TestCoverageExperiment:
         with pytest.raises(ValueError):
             coverage_experiment(small_problem(), 1.0, 10, 0.05, trials=50, seed=0)
 
+    def test_trial_count_and_seed_not_truncated(self):
+        problem = small_problem()
+        for trials in (150.9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                coverage_experiment(problem, 1.0, 10, 0.05, trials=trials, seed=0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            coverage_experiment(problem, 1.0, 10, 0.05, trials=100, seed=1.5)
+        integral = coverage_experiment(problem, 1.0, 10, 0.05, trials=150.0, seed=2.0)
+        assert integral == coverage_experiment(problem, 1.0, 10, 0.05, trials=150, seed=2)
+
 
 class TestProblemValidation:
     def test_loss_outside_bounds_rejected(self):

@@ -18,6 +18,7 @@ from femin import (
     log_sum_exp,
     total_variation,
 )
+from femin.simplex import _check_count
 
 
 def direct_entropy(probs):
@@ -31,6 +32,26 @@ def direct_kl(q, p):
 
 def random_simplex(rng, n):
     return FiniteDistribution(rng.dirichlet(np.ones(n)))
+
+
+class TestCheckCount:
+    def test_integral_values_pass_as_int(self):
+        for value in (3, np.int64(3), 3.0, np.float64(3.0)):
+            count = _check_count(value, "steps", 1)
+            assert count == 3 and type(count) is int
+        assert _check_count(2**60 + 1, "seed", 0) == 2**60 + 1  # exact, not through a float
+        assert _check_count(0, "max_iter", 0) == 0
+
+    @pytest.mark.parametrize("value", [2.9, 150.9, -0.5, np.nan, np.inf, -np.inf])
+    def test_non_integral_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            _check_count(value, "trials", 100)
+
+    def test_below_minimum_rejected_by_name(self):
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -5"):
+            _check_count(-5, "max_iter", 0)
+        with pytest.raises(ValueError, match="trials must be >= 100, got 99"):
+            _check_count(99.0, "trials", 100)
 
 
 class TestFiniteDistribution:
