@@ -12,9 +12,11 @@ Three penalties are supported, each with a closed-form minimizer:
   (1/2)||q - p||^2    (p(x) - L(x)/T - tau)^+                    J(q_opt) by substitution
   ==================  =========================================  ==========================
 
-where tau makes the clipped vector sum to one (Euclidean projection of
-p - l/T onto the simplex). A simplex-grid enumerator provides an
-independent oracle for small alphabets.
+where tau makes the clipped vector sum to one: the Euclidean projection of
+p - l/T onto the simplex. Its pivot comes from Michelot's expected-O(n)
+active-set search (see Condat 2016), started at the exact filter
+v >= max(v) - 1, and is canonical: a function of the final active set
+alone. A simplex-grid enumerator provides an independent oracle.
 """
 
 from __future__ import annotations
@@ -160,21 +162,22 @@ def free_energy(problem: FreeEnergyProblem, q: FiniteDistribution) -> float:
 
 
 def _projection_pivot(v: np.ndarray) -> float:
-    """Threshold tau with sum_x (v_x - tau)^+ = 1, by descending sort and scan.
-
-    One exact correction step on the identified active set removes the
-    rounding accumulated by the cumulative sums.
-    """
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ranks = np.arange(1, u.size + 1)
-    rho = int(np.nonzero(u - (css - 1.0) / ranks > 0)[0][-1]) + 1
-    tau = (css[rho - 1] - 1.0) / rho
-    active = v - tau > 0
-    n_active = int(active.sum())
-    if n_active > 0:
-        tau += ((v[active] - tau).sum() - 1.0) / n_active
-    return float(tau)
+    """Threshold tau with sum_x (v_x - tau)^+ = 1 in expected O(n), by
+    Michelot's active-set search (JOTA 1986; see Condat, Math. Prog. 2016).
+    tau >= max(v) - 1 makes the first filter exact. Then (sum(active) - 1)/k,
+    plus one correction step once no entry drops, both summed in index
+    order: tau is canonical, a function of the final active set alone. If
+    rounding would drop every entry, the last tau stands."""
+    active = v[v >= v.max() - 1.0]
+    while True:
+        tau = (active.sum() - 1.0) / active.size
+        keep = active > tau
+        if keep.all():  # v - tau is exact on the set
+            tau += ((active - tau).sum() - 1.0) / active.size
+            keep = active > tau
+        if keep.all() or not keep.any():
+            return float(tau)
+        active = active[keep]
 
 
 def _project(v: np.ndarray):
@@ -182,46 +185,40 @@ def _project(v: np.ndarray):
     pivot and renormalize."""
     tau = _projection_pivot(v)
     w = np.clip(v - tau, 0.0, None)
-    return w / w.sum(), tau
+    w /= w.sum()
+    return w, tau
 
 
 def solve_tau(p: FiniteDistribution, l: LossVector, temperature: float) -> float:
-    """Pivot tau of the Euclidean projection of p - l/T onto the simplex.
-
-    Always exists and is unique: the map tau -> sum_x (p - l/T - tau)^+ is
-    continuous and strictly decreasing where positive.
-    """
-    if p.alphabet_size != l.alphabet_size:
-        raise ValueError(f"p has {p.alphabet_size} symbols, l has {l.alphabet_size}")
-    t = float(temperature)
-    if not np.isfinite(t) or t <= 0.0:
-        raise ValueError(f"temperature must be finite and > 0, got {t!r}")
-    return _projection_pivot(p.probs - l.losses / t)
+    """Pivot tau of the Euclidean projection of p - l/T onto the simplex, as
+    minimize_closed_form reports it; it always exists and is unique."""
+    return _closed_form(FreeEnergyProblem(l, temperature, ComplexityPenalty(HALF_SQ_L2, p)))[2]
 
 
-def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
-    """Exact minimizer of J for the problem's penalty kind.
-
-    The entropy and KL penalties share the Gibbs kernel, so losses with
-    magnitude ~1e3 do not overflow. Logarithmic optimal values are scaled by
-    T, so the result minimizes J at the problem's own temperature (not only
-    T=1).
-    """
-    losses = problem.loss.losses
-    t = problem.temperature
-    kind = problem.penalty.kind
+def _closed_form(problem: FreeEnergyProblem):
+    """(probs, j_opt, tau) of the minimizer; tau is None for the Gibbs kinds.
+    The L2 j_opt is free_energy's two dot products, in order, so the two
+    agree bitwise."""
+    losses, t, kind = problem.loss.losses, problem.temperature, problem.penalty.kind
     if kind == HALF_SQ_L2:
-        # Named, so it is freed after q_opt is built: freeing it inside
-        # _project measured about 5% slower per call at 2^18 symbols.
-        shifted = problem.penalty.prior.probs - losses / t
-        probs, tau = _project(shifted)
-        q_opt = FiniteDistribution(probs)
-        return Solution(q_opt, free_energy(problem, q_opt), tau=tau)
+        prior = problem.penalty.prior.probs
+        probs, tau = _project(prior - losses / t)
+        diff = probs - prior
+        return probs, float(probs @ losses) + t * float(0.5 * (diff @ diff)), tau
     logits = -losses / t
     if kind == KL_TO_PRIOR:
         logits += np.log(problem.penalty.prior.probs)
     probs, log_z = gibbs(logits)
-    return Solution(FiniteDistribution(probs), float(-t * log_z))
+    return probs, float(-t * log_z), None
+
+
+def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
+    """Exact minimizer of J for the problem's penalty kind. The Gibbs kinds
+    share the max-shifted kernel, so losses of magnitude ~1e3 do not
+    overflow, and j_opt is scaled by T: it is J's minimum at the problem's
+    own temperature."""
+    probs, j_opt, tau = _closed_form(problem)
+    return Solution(FiniteDistribution(probs), j_opt, tau)
 
 
 def _simplex_grid(total: int, parts: int) -> np.ndarray:
@@ -295,5 +292,6 @@ def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Soluti
 
 
 def fenchel_young_gap(problem: FreeEnergyProblem, q: FiniteDistribution) -> float:
-    """J(q) - J_opt; nonnegative, and zero exactly at the minimizer."""
-    return free_energy(problem, q) - minimize_closed_form(problem).j_opt
+    """J(q) - J_opt (the Fenchel-Young loss); nonnegative, and zero exactly at
+    the minimizer. J_opt comes without building a second distribution."""
+    return free_energy(problem, q) - _closed_form(problem)[1]

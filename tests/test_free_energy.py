@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from femin import (
     AlphabetTooLarge,
@@ -20,7 +21,17 @@ from femin import (
     solve_tau,
     total_variation,
 )
-from femin.free_energy import HALF_SQ_L2, KL_TO_PRIOR, NEG_ENTROPY, _grid_points, _simplex_grid
+from femin.free_energy import (
+    HALF_SQ_L2,
+    KL_TO_PRIOR,
+    NEG_ENTROPY,
+    _grid_points,
+    _project,
+    _projection_pivot,
+    _simplex_grid,
+)
+
+KINDS = (NEG_ENTROPY, KL_TO_PRIOR, HALF_SQ_L2)
 
 
 def neg_entropy_problem(losses, t=1.0):
@@ -113,6 +124,91 @@ class TestSolveTau:
             v = p.probs - l.losses / t
             assert abs(np.clip(v - tau, 0.0, None).sum() - 1.0) <= 1e-12
             assert tau == pytest.approx(bisection_tau(v), abs=1e-10)
+
+
+def sort_scan_pivot(v):
+    # reference: the O(n log n) pivot the module used before its active-set
+    # search: descending sort, cumulative-sum scan, one correction step
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    ranks = np.arange(1, u.size + 1)
+    rho = int(np.nonzero(u - (css - 1.0) / ranks > 0)[0][-1]) + 1
+    tau = (css[rho - 1] - 1.0) / rho
+    active = v - tau > 0
+    n_active = int(active.sum())
+    if n_active > 0:
+        tau += ((v[active] - tau).sum() - 1.0) / n_active
+    return float(tau)
+
+
+def set_pivot(active):
+    """The canonical tau of an active set: (sum - 1) / k, then one correction
+    step, each summed in index order."""
+    tau = (active.sum() - 1.0) / active.size
+    return tau + ((active - tau).sum() - 1.0) / active.size
+
+
+def check_pivot(v):
+    """The pivot against the sort oracle, its KKT conditions, and the
+    canonical identity tau = set_pivot(v[v > tau]), bitwise."""
+    tau = _projection_pivot(v)
+    assert abs(tau - sort_scan_pivot(v)) <= 1e-12 * (1.0 + abs(tau))
+    active = v[v > tau]
+    # No double tau can do better than half an ulp per active entry.
+    assert abs(np.clip(v - tau, 0.0, None).sum() - 1.0) <= 1e-12 + active.size * abs(np.spacing(tau))
+    probs, projected_tau = _project(v)
+    assert projected_tau == tau
+    assert np.all(v[probs == 0.0] <= tau) and np.all(v[probs > 0.0] > tau)
+    if tau != set_pivot(active):
+        # An entry tied with the pivot in exact arithmetic can land on either
+        # side of it by rounding, so that no set S has {v > set_pivot(S)} = S
+        # (see test_tie_has_no_fixed_point). The search drops such an entry;
+        # without it the identity holds.
+        tied = np.abs(v - tau) <= 1e-12 * (1.0 + abs(tau))
+        assert tied.any()
+        assert tau == set_pivot(v[(v > tau) & ~tied])
+    return tau
+
+
+class TestProjectionPivot:
+    @pytest.mark.parametrize("n", [2**18, 10**6])
+    def test_large_alphabets(self, n):
+        rng = np.random.default_rng(n)
+        weights = rng.random(n) + 0.1
+        # the L2 problem of the large-alphabet benchmark: most symbols active
+        check_pivot(weights / weights.sum() - rng.normal(size=n) / n)
+        # spread-out values: few symbols active
+        check_pivot(rng.normal(size=n))
+
+    def test_tie_has_no_fixed_point(self):
+        # 0.1 is the exact pivot. All three entries give 0.10000000000000002,
+        # which drops 0.1; the two left give 0.09999999999999998, which would
+        # take 0.1 back. The search keeps the two.
+        v = np.array([0.1, 0.2, 1.0])
+        assert set_pivot(v) > 0.1
+        tau = check_pivot(v)
+        assert tau == set_pivot(np.array([0.2, 1.0])) < 0.1
+
+    def test_correction_reaches_the_best_double(self):
+        # 19 equal entries: (sum - 1) / 19 alone lands 2 ulps from the pivot,
+        # a KKT residual of 1.1e-12; the correction step brings it to 2.8e-14
+        v = np.full(19, 241.43472310110002)
+        tau = check_pivot(v)
+        assert abs(np.clip(v - tau, 0.0, None).sum() - 1.0) <= 1e-13
+
+    def test_huge_equal_entries_keep_a_nonempty_set(self):
+        # (2e300 - 1) / 2 rounds to 1e300, so no entry stays above tau; the
+        # search stops there instead of emptying its set
+        assert _projection_pivot(np.array([1e300, 1e300])) == 1e300
+
+    def test_single_entry(self):
+        assert _projection_pivot(np.array([0.25])) == -0.75
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(-1e3, 1e3)))
+def test_pivot_matches_oracle_and_kkt(v):
+    check_pivot(v)
 
 
 class TestClosedForms:
@@ -285,6 +381,22 @@ class TestFenchelYoungGap:
                 q_opt = minimize_closed_form(problem).q_opt
                 expected = problem.temperature * kl_divergence(q, q_opt)
                 assert fenchel_young_gap(problem, q) == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(KINDS))
+def test_gap_is_a_certificate(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n, kind)
+    q = FiniteDistribution(rng.dirichlet(np.ones(n)))
+    sol = minimize_closed_form(problem)
+    gap = fenchel_young_gap(problem, q)
+    # J_opt without a second distribution: the same bits as the solution's
+    assert gap == free_energy(problem, q) - sol.j_opt
+    assert gap >= -1e-12
+    assert abs(fenchel_young_gap(problem, sol.q_opt)) <= 1e-12
+    if kind == HALF_SQ_L2:
+        assert sol.j_opt == free_energy(problem, sol.q_opt)
 
 
 class TestGibbsInvariances:
