@@ -197,14 +197,16 @@ def solve_tau(p: FiniteDistribution, l: LossVector, temperature: float) -> float
 
 def _closed_form(problem: FreeEnergyProblem):
     """(probs, j_opt, tau) of the minimizer; tau is None for the Gibbs kinds.
-    The L2 j_opt is free_energy's two dot products, in order, so the two
-    agree bitwise."""
+    L2 projects p - (L - min L)/T: the projection is translation-equivariant,
+    and T -> 0 gives the projection of p restricted to argmin L. Its j_opt is
+    free_energy's two dot products, in order, so the two agree bitwise."""
     losses, t, kind = problem.loss.losses, problem.temperature, problem.penalty.kind
     if kind == HALF_SQ_L2:
         prior = problem.penalty.prior.probs
-        probs, tau = _project(prior - losses / t)
+        low = losses.min()
+        probs, tau = _project(prior - (losses - low) / t)
         diff = probs - prior
-        return probs, float(probs @ losses) + t * float(0.5 * (diff @ diff)), tau
+        return probs, float(probs @ losses) + t * float(0.5 * (diff @ diff)), float(tau - low / t)
     logits = -losses / t
     if kind == KL_TO_PRIOR:
         logits += np.log(problem.penalty.prior.probs)

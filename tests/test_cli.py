@@ -53,6 +53,19 @@ class TestSolve:
         payload = json.loads(result.stdout)
         assert np.allclose(payload["solution"]["q_opt"], 1.0 / 3.0, atol=1e-12)
 
+    def test_l2_zero_temperature_limit(self, tmp_path):
+        problem = write_json(
+            tmp_path / "p.json",
+            {"losses": [-1, 0, -1], "temperature": 1e-300,
+             "penalty": {"kind": "half_sq_l2", "prior": [0.2, 0.3, 0.5]}},
+        )
+        result = run_cli("solve", "--problem", problem)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""  # no warning either
+        q_opt = json.loads(result.stdout)["solution"]["q_opt"]
+        assert q_opt[1] == 0.0
+        assert np.allclose(q_opt, [0.35, 0.0, 0.65], rtol=0.0, atol=1e-15)
+
     def test_gap_for_supplied_q(self, tmp_path, problem_file):
         q_file = write_json(tmp_path / "q.json", {"probs": [0.75, 0.25]})
         result = run_cli("solve", "--problem", problem_file, "--q", q_file)

@@ -248,6 +248,16 @@ class TestClosedForms:
                 sol = minimize_closed_form(problem)
                 assert free_energy(problem, sol.q_opt) == pytest.approx(sol.j_opt, abs=1e-9)
 
+    def test_l2_zero_temperature_limit(self):
+        # -L/T leaves p's digits below 1e300's resolution; the shift by min L
+        # keeps them, so the result is the projection of p on argmin L
+        problem = l2_problem([-1.0, 0.0, -1.0], [0.2, 0.3, 0.5], t=1e-300)
+        sol = minimize_closed_form(problem)
+        assert sol.q_opt.probs[1] == 0.0
+        assert np.allclose(sol.q_opt.probs, [0.35, 0.0, 0.65], rtol=0.0, atol=1e-15)
+        assert sol.j_opt == free_energy(problem, sol.q_opt)
+        assert solve_tau(problem.penalty.prior, problem.loss, 1e-300) == sol.tau
+
     def test_huge_losses_do_not_overflow(self):
         sol = minimize_closed_form(neg_entropy_problem([0.0, 1e3, -1e3]))
         assert np.all(np.isfinite(sol.q_opt.probs))
