@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, NotConverged
-from .simplex import FiniteDistribution, gibbs, log_sum_exp
+from .simplex import FiniteDistribution, _check_count, gibbs, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,7 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
     n_x = int(alphabet_size)
     if n_x < 1:
         raise ValueError("alphabet_size must be >= 1")
+    max_iter = _check_count(max_iter, "max_iter", 0)
     m = len(constraints)
     if m == 0:
         return MaxEntSolution(

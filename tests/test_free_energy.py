@@ -201,9 +201,6 @@ class TestProjectionPivot:
         # search stops there instead of emptying its set
         assert _projection_pivot(np.array([1e300, 1e300])) == 1e300
 
-    def test_single_entry(self):
-        assert _projection_pivot(np.array([0.25])) == -0.75
-
 
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(-1e3, 1e3)))

@@ -156,6 +156,13 @@ class TestSolveMaxent:
             )
             assert np.all(np.diff(result.dual_trace) >= -1e-12)
 
+    def test_iteration_count_not_truncated(self):
+        constraints = [MomentConstraint([0.0, 1.0], 0.3)]
+        for bad, message in ((2.5, "an integer"), (np.nan, "an integer"), (-1, ">= 0")):
+            with pytest.raises(ValueError, match=f"max_iter must be {message}"):
+                solve_maxent(constraints, 2, max_iter=bad)
+        assert solve_maxent(constraints, 2, max_iter=50.0).iterations == solve_maxent(constraints, 2, max_iter=50).iterations
+
     def test_not_converged_reports_diagnostics(self):
         with pytest.raises(NotConverged) as err:
             solve_maxent([MomentConstraint([0.0, 1.0], 0.499)], 2, tol=1e-14, max_iter=1)
