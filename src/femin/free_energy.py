@@ -172,7 +172,7 @@ def _projection_pivot(v: np.ndarray) -> float:
     while True:
         tau = (active.sum() - 1.0) / active.size
         keep = active > tau
-        if keep.all():  # v - tau is exact on the set
+        if keep.all():  # none drops: correct the rounding of the sum
             tau += ((active - tau).sum() - 1.0) / active.size
             keep = active > tau
         if keep.all() or not keep.any():
