@@ -128,7 +128,7 @@ def _write_text(text: str, args) -> None:
 def _emit_json(payload: dict, args) -> None:
     document = {"schema_version": SCHEMA_VERSION, "config": _config_echo(args)}
     document.update(payload)
-    _write_text(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n", args)
+    _write_text(json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n", args)
 
 
 def _emit_csv(header, rows, args) -> None:
@@ -252,12 +252,10 @@ def cmd_mirror(args) -> None:
         if args.target is None:
             raise InputError("--target is required for the quadratic-to-target oracle")
         oracle = make_oracle("quadratic-to-target", _parse_number_list(args.target, "--target"))
-    elif args.oracle == "entropy-regularized-linear":
+    else:  # entropy-regularized-linear, the last of the parser's choices
         if args.l is None:
             raise InputError("--l is required for the entropy-regularized-linear oracle")
         oracle = make_oracle("entropy-regularized-linear", _parse_number_list(args.l, "--l"), args.reg)
-    else:
-        raise InputError(f"unknown oracle {args.oracle!r}")
     if args.x0:
         x0 = FiniteDistribution(np.asarray(_parse_number_list(args.x0, "--x0")))
     else:

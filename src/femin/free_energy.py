@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AlphabetTooLarge, NonPositivePrior
+from .errors import AlphabetTooLarge, NonFinite, NonPositivePrior
 from .simplex import (
     SUPPORT_EPS,
     FiniteDistribution,
@@ -192,7 +192,7 @@ def _project(v: np.ndarray):
 def solve_tau(p: FiniteDistribution, l: LossVector, temperature: float) -> float:
     """Pivot tau of the Euclidean projection of p - l/T onto the simplex, as
     minimize_closed_form reports it; it always exists and is unique."""
-    return _closed_form(FreeEnergyProblem(l, temperature, ComplexityPenalty(HALF_SQ_L2, p)))[2]
+    return minimize_closed_form(FreeEnergyProblem(l, temperature, ComplexityPenalty(HALF_SQ_L2, p))).tau
 
 
 def _closed_form(problem: FreeEnergyProblem):
@@ -204,9 +204,11 @@ def _closed_form(problem: FreeEnergyProblem):
     if kind == HALF_SQ_L2:
         prior = problem.penalty.prior.probs
         low = losses.min()
-        probs, tau = _project(prior - (losses - low) / t)
+        with np.errstate(over="ignore"):  # a loss gap overflowing to +inf is a zero weight
+            probs, tau = _project(prior - (losses - low) / t)
+            tau = float(tau - low / t)
         diff = probs - prior
-        return probs, float(probs @ losses) + t * float(0.5 * (diff @ diff)), float(tau - low / t)
+        return probs, float(probs @ losses) + t * float(0.5 * (diff @ diff)), tau
     logits = -losses / t
     if kind == KL_TO_PRIOR:
         logits += np.log(problem.penalty.prior.probs)
@@ -218,8 +220,10 @@ def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
     """Exact minimizer of J for the problem's penalty kind. The Gibbs kinds
     share the max-shifted kernel, so losses of magnitude ~1e3 do not
     overflow, and j_opt is scaled by T: it is J's minimum at the problem's
-    own temperature."""
+    own temperature. An L2 tau beyond the doubles raises NonFinite."""
     probs, j_opt, tau = _closed_form(problem)
+    if tau is not None and not np.isfinite(tau):
+        raise NonFinite(f"tau has no double value at T = {problem.temperature!r}")
     return Solution(FiniteDistribution(probs), j_opt, tau)
 
 

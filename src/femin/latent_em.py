@@ -5,7 +5,10 @@ and the M-step re-fits parameters by responsibility-weighted maximum
 likelihood, so the marginal log-likelihood never decreases across
 iterations. Two emission families are supported: categorical tables and
 one-dimensional Gaussians with a variance floor (the floor removes the
-classic likelihood singularity of Gaussian mixtures).
+classic likelihood singularity of Gaussian mixtures). The loop keeps one
+C-contiguous K x n table (components by observations) per step: gibbs over
+axis 0 gives the responsibilities and each observation's log-likelihood,
+and the M-step sums along rows. e_step and m_step transpose to n x K.
 """
 
 from __future__ import annotations
@@ -70,16 +73,11 @@ class MixtureModel:
 
     @classmethod
     def categorical(cls, weights: FiniteDistribution, emissions) -> "MixtureModel":
-        return cls(weights, CATEGORICAL, emissions=np.asarray(emissions, dtype=float))
+        return cls(weights, CATEGORICAL, emissions=emissions)
 
     @classmethod
     def gaussian1d(cls, weights: FiniteDistribution, means, variances) -> "MixtureModel":
-        return cls(
-            weights,
-            GAUSSIAN1D,
-            means=np.asarray(means, dtype=float),
-            variances=np.asarray(variances, dtype=float),
-        )
+        return cls(weights, GAUSSIAN1D, means=means, variances=variances)
 
     @property
     def n_components(self) -> int:
@@ -129,41 +127,41 @@ def _check_data(model: MixtureModel, data) -> np.ndarray:
 
 
 def _arrays(model: MixtureModel):
-    """(weights, theta) of a model; theta is (emissions, means, variances),
-    the dataclass's fields, with None for the other family's."""
+    """(weights, theta = (emissions, means, variances)), None for the other family's."""
     return model.weights.probs, (model.emissions, model.means, model.variances)
 
 
 def _log_joint(weights: np.ndarray, theta, y: np.ndarray) -> np.ndarray:
-    """n x K table of log(weight_k * p_k(y_i)); -inf marks zero probability."""
+    """K x n table of log(weight_k * p_k(y_i)); -inf marks zero probability."""
     emissions, means, variances = theta
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
         if emissions is not None:
-            log_dens = np.log(emissions[:, y]).T
+            log_dens = np.log(emissions).take(y, axis=1)  # C-contiguous, unlike emissions[:, y]
         else:
-            diff = y[:, None] - means[None, :]
-            log_dens = -0.5 * (_LOG_2PI + np.log(variances)[None, :]) - diff**2 / (2.0 * variances[None, :])
-    return log_w[None, :] + log_dens
+            diff = y[None, :] - means[:, None]
+            log_dens = -0.5 * (_LOG_2PI + np.log(variances)[:, None]) - diff**2 / (2.0 * variances[:, None])
+    return log_w[:, None] + log_dens
 
 
-def _responsibilities(probs: np.ndarray, row_log_lik: np.ndarray) -> np.ndarray:
-    """The E-step table from gibbs(_log_joint); an impossible row is an error."""
+def _posterior(weights: np.ndarray, theta, y: np.ndarray):
+    """(K x n responsibilities, n log-likelihoods); an impossible observation raises."""
+    probs, row_log_lik = gibbs(_log_joint(weights, theta, y), axis=0)
     if not (row_log_lik > -np.inf).all():
         bad = int(np.nonzero(row_log_lik == -np.inf)[0][0])
         raise ValueError(f"observation {bad} has zero probability under every component")
-    return probs
+    return probs, row_log_lik
 
 
 def marginal_log_likelihood(model: MixtureModel, data) -> float:
     """sum_i log sum_k weight_k p_k(y_i), each inner sum max-shifted."""
-    return float(gibbs(_log_joint(*_arrays(model), _check_data(model, data)))[1].sum())
+    return float(gibbs(_log_joint(*_arrays(model), _check_data(model, data)), axis=0)[1].sum())
 
 
 def e_step(model: MixtureModel, data) -> np.ndarray:
-    """Posterior over components for each observation (Bayes rule per row):
-    an n x K array whose rows sum to 1."""
-    return _responsibilities(*gibbs(_log_joint(*_arrays(model), _check_data(model, data))))
+    """Posterior over components for each observation (Bayes rule): an
+    n x K array whose rows sum to 1, a view of the loop's K x n table."""
+    return _posterior(*_arrays(model), _check_data(model, data))[0].T
 
 
 def m_step(model: MixtureModel, data, resp) -> MixtureModel:
@@ -182,15 +180,30 @@ def m_step(model: MixtureModel, data, resp) -> MixtureModel:
         raise ValueError("responsibilities must be finite and nonnegative")
     if np.any(np.abs(r.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("each responsibility row must sum to 1")
-    weights, theta = _m_step(_arrays(model)[1], y, r)
+    weights, theta = _m_step(_arrays(model)[1], _stats(model.emissions, y), np.ascontiguousarray(r.T))
     return MixtureModel(FiniteDistribution(weights), model.kind, *theta)
 
 
-def _m_step(theta, y: np.ndarray, r: np.ndarray):
-    """m_step's arithmetic on checked observations and an n x K table:
-    (weights, theta) from the previous theta."""
+def _stats(emissions, y: np.ndarray) -> np.ndarray:
+    """The M-step's view of the observations: y, or its n x V one-hot table."""
+    if emissions is None:
+        return y
+    one_hot = np.zeros((y.size, emissions.shape[1]))
+    one_hot[np.arange(y.size), y] = 1.0
+    return one_hot
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of a K x n table added left to right, as a column sum of the
+    n x K table adds them (a row sum would be pairwise): same bytes."""
+    return np.cumsum(a, axis=1)[:, -1]
+
+
+def _m_step(theta, stats: np.ndarray, r: np.ndarray):
+    """m_step's arithmetic on _stats of checked observations and a K x n
+    table: (weights, theta) from the previous theta."""
     emissions, means, variances = theta
-    mass = r.sum(axis=0)
+    mass = _row_sums(r)
     degenerate = mass < DEGENERATE_MASS
     if degenerate.any():
         warnings.warn(
@@ -203,13 +216,13 @@ def _m_step(theta, y: np.ndarray, r: np.ndarray):
     weights = weights / weights.sum()
     safe_mass = np.where(degenerate, 1.0, mass)
     if emissions is not None:
-        one_hot = np.zeros((y.size, emissions.shape[1]))
-        one_hot[np.arange(y.size), y] = 1.0
-        new_emissions = (r.T @ one_hot) / safe_mass[:, None]
+        # one_hot.T @ r.T is the BLAS call of r_nk.T @ one_hot, and rounds the same
+        counts = np.ascontiguousarray((stats.T @ r.T).T)
+        new_emissions = counts / safe_mass[:, None]
         new_emissions[degenerate] = emissions[degenerate]
         return weights, (new_emissions, None, None)
-    new_means = (r * y[:, None]).sum(axis=0) / safe_mass
-    sq = (r * (y[:, None] - new_means[None, :]) ** 2).sum(axis=0) / safe_mass
+    new_means = _row_sums(r * stats) / safe_mass
+    sq = _row_sums(r * (stats - new_means[:, None]) ** 2) / safe_mass
     new_variances = np.where(degenerate, variances, np.maximum(sq, VARIANCE_FLOOR))
     return weights, (None, np.where(degenerate, means, new_means), new_variances)
 
@@ -222,13 +235,14 @@ def em_fit(init: MixtureModel, data, tol: float = 1e-8, max_iter: int = 500):
     y = _check_data(init, data)
     max_iter = _check_count(max_iter, "max_iter", 0)
     weights, theta = _arrays(init)
-    probs, row_log_lik = gibbs(_log_joint(weights, theta, y))
+    stats = _stats(theta[0], y)
+    probs, row_log_lik = _posterior(weights, theta, y)
     previous = float(row_log_lik.sum())
     trace = []
     for _ in range(max_iter):
-        weights, theta = _m_step(theta, y, _responsibilities(probs, row_log_lik))
+        weights, theta = _m_step(theta, stats, probs)
         # This E-step serves both the trace entry and the next M-step.
-        probs, row_log_lik = gibbs(_log_joint(weights, theta, y))
+        probs, row_log_lik = _posterior(weights, theta, y)
         current = float(row_log_lik.sum())
         trace.append(current)
         if abs(current - previous) < tol:

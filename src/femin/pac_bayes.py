@@ -9,7 +9,7 @@ of randomness in a coverage experiment is the draw of the training sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -179,17 +179,7 @@ class CoverageReport:
     delta: float
 
     def to_dict(self) -> dict:
-        return {
-            "violation_rate": self.violation_rate,
-            "mean_gap": self.mean_gap,
-            "mean_bound": self.mean_bound,
-            "n_violations": self.n_violations,
-            "trials": self.trials,
-            "seed": self.seed,
-            "beta": self.beta,
-            "m": self.m,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
 
 def coverage_experiment(

@@ -80,12 +80,6 @@ class FiniteDistribution:
         return cls(np.full(int(n), 1.0 / int(n)))
 
     @classmethod
-    def point_mass(cls, n: int, index: int) -> "FiniteDistribution":
-        probs = np.zeros(int(n))
-        probs[index] = 1.0
-        return cls(probs)
-
-    @classmethod
     def normalized(cls, weights) -> "FiniteDistribution":
         """Rescale nonnegative weights by their sum; the constructor checks the result."""
         w = np.asarray(weights, dtype=float)
@@ -174,29 +168,29 @@ def half_sq_l2(q: FiniteDistribution, p: FiniteDistribution) -> float:
     return float(0.5 * (diff @ diff))
 
 
-def gibbs(logits):
-    """Gibbs map along the last axis: (exp(v - log Z), log Z), Z = sum exp(v).
+def gibbs(logits, axis=-1):
+    """Gibbs map along one axis: (exp(v - log Z), log Z), Z = sum exp(v).
 
-    Max-shifted, so magnitudes up to ~1e3 are safe. log Z drops the last axis
+    Max-shifted, so magnitudes up to ~1e3 are safe. log Z drops that axis
     (a numpy scalar for a vector). -inf entries get zero weight; a slice of
     only -inf has log Z = -inf and NaN probabilities. +inf and NaN raise.
     """
     v = np.asarray(logits, dtype=float)
     if v.size == 0:
         raise ValueError("gibbs of an empty vector")
-    m = v.max(axis=-1, keepdims=True)
+    m = v.max(axis=axis, keepdims=True)
     if np.isfinite(m).all():
-        return _shifted_gibbs(v, m)
+        return _shifted_gibbs(v, m, axis)
     if not (m < np.inf).all():
         raise ValueError("logits must be < +inf and not NaN")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _shifted_gibbs(v, np.where(m == -np.inf, 0.0, m))
+        return _shifted_gibbs(v, np.where(m == -np.inf, 0.0, m), axis)
 
 
-def _shifted_gibbs(v, m):
+def _shifted_gibbs(v, m, axis):
     w = np.exp(v - m)
-    total = w.sum(axis=-1, keepdims=True)
-    return w / total, m[..., 0] + np.log(total[..., 0])
+    total = w.sum(axis=axis, keepdims=True)
+    return w / total, m.squeeze(axis) + np.log(total.squeeze(axis))
 
 
 def log_sum_exp(values) -> float:

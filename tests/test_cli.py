@@ -66,6 +66,28 @@ class TestSolve:
         assert q_opt[1] == 0.0
         assert np.allclose(q_opt, [0.35, 0.0, 0.65], rtol=0.0, atol=1e-15)
 
+    def test_tau_beyond_the_doubles_is_a_json_error(self, tmp_path):
+        problem = write_json(
+            tmp_path / "p.json",
+            {"losses": [-1, 0, -1], "temperature": 1e-310,
+             "penalty": {"kind": "half_sq_l2", "prior": [0.2, 0.3, 0.5]}},
+        )
+        result = run_cli("solve", "--problem", problem)
+        assert result.returncode == 3 and result.stdout == ""
+        error = json.loads(result.stderr)  # the whole of stderr: no warning
+        assert error["error"] == "NonFinite" and "tau" in error["message"] and "T = 1e-310" in error["message"]
+
+    def test_non_finite_value_is_not_written(self, problem_file, monkeypatch, capsys):
+        import femin.cli
+        from femin import FiniteDistribution
+        from femin.free_energy import Solution
+
+        nan_solution = Solution(FiniteDistribution([0.5, 0.5]), math.nan)
+        monkeypatch.setattr(femin.cli, "minimize_closed_form", lambda problem: nan_solution)
+        assert femin.cli.main(["solve", "--problem", problem_file]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["exit_code"] == 3
+
     def test_gap_for_supplied_q(self, tmp_path, problem_file):
         q_file = write_json(tmp_path / "q.json", {"probs": [0.75, 0.25]})
         result = run_cli("solve", "--problem", problem_file, "--q", q_file)

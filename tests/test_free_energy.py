@@ -12,6 +12,7 @@ from femin import (
     FiniteDistribution,
     FreeEnergyProblem,
     LossVector,
+    NonFinite,
     NonPositivePrior,
     brute_force_minimize,
     fenchel_young_gap,
@@ -254,6 +255,17 @@ class TestClosedForms:
         assert np.allclose(sol.q_opt.probs, [0.35, 0.0, 0.65], rtol=0.0, atol=1e-15)
         assert sol.j_opt == free_energy(problem, sol.q_opt)
         assert solve_tau(problem.penalty.prior, problem.loss, 1e-300) == sol.tau
+
+    def test_l2_tau_beyond_the_doubles_raises(self):
+        # at T = 1e-310 the loss gap 1/T overflows to a zero weight without a
+        # warning, but tau = ... - min L / T is about 1e310: no double holds it
+        problem = l2_problem([-1.0, 0.0, -1.0], [0.2, 0.3, 0.5], t=1e-310)
+        with pytest.raises(NonFinite, match=r"tau has no double value at T = 1e-310"):
+            minimize_closed_form(problem)
+        with pytest.raises(NonFinite, match="tau"):
+            solve_tau(problem.penalty.prior, problem.loss, 1e-310)
+        # the gap needs no tau
+        assert fenchel_young_gap(problem, FiniteDistribution([0.35, 0.0, 0.65])) == pytest.approx(0.0, abs=1e-15)
 
     def test_huge_losses_do_not_overflow(self):
         sol = minimize_closed_form(neg_entropy_problem([0.0, 1e3, -1e3]))

@@ -352,6 +352,15 @@ class TestArrayLoopEm:
         data = sample_categorical(rng, true_cat, 250)
         self.assert_bitwise(default_init(data, 3, CATEGORICAL, seed=seed, n_symbols=5), data)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_categorical_wide_alphabet_bitwise(self, seed):
+        # 2000 points on 20 symbols: enough for BLAS to round the count
+        # product differently when its operands are laid out differently
+        rng = np.random.default_rng(700 + seed)
+        truth = MixtureModel.categorical(FiniteDistribution([0.5, 0.3, 0.2]), rng.dirichlet(np.full(20, 0.5), 3))
+        data = sample_categorical(rng, truth, 2000)
+        self.assert_bitwise(default_init(data, 3, CATEGORICAL, seed=seed, n_symbols=20), data)
+
     def test_degenerate_component_bitwise(self):
         data = np.array([0.1, -0.3, 0.4, 0.2])
         init = two_gaussians((0.0, 1e3), (1.0, 1.0))
@@ -370,6 +379,43 @@ class TestArrayLoopEm:
         assert trace.size == 0
         assert np.array_equal(model.weights.probs, init.weights.probs)
         assert np.array_equal(model.means, init.means) and np.array_equal(model.variances, init.variances)
+
+
+class TestManyComponents:
+    """From K = 8 on, the n x K reference sums each row of K pairwise where
+    em_fit adds the K rows of its K x n table in order: the fits agree to
+    rounding, not bit for bit, and take the same number of iterations."""
+
+    @staticmethod
+    def assert_close(init, data, tol, max_iter):
+        model, trace = em_fit(init, data, tol=tol, max_iter=max_iter)
+        ref_model, ref_trace = dataclass_em_fit(init, np.asarray(data), tol=tol, max_iter=max_iter)
+        assert trace.size == ref_trace.size
+        assert np.allclose(trace, ref_trace, rtol=1e-12, atol=0.0)
+        assert np.allclose(model.weights.probs, ref_model.weights.probs, rtol=1e-12, atol=0.0)
+        for field in ("emissions", "means", "variances"):
+            ours, ref = getattr(model, field), getattr(ref_model, field)
+            assert (ours is None and ref is None) or np.allclose(ours, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [8, 9, 17])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gaussian(self, k, seed):
+        rng = np.random.default_rng(500 + seed)
+        centers = 4.0 * np.arange(k)
+        data = rng.normal(centers[rng.integers(0, k, 40 * k)], 1.0)
+        init = MixtureModel.gaussian1d(FiniteDistribution.uniform(k), centers + rng.normal(0.0, 1.5, k), np.full(k, 2.0))
+        self.assert_close(init, data, tol=1e-10, max_iter=200)
+
+    @pytest.mark.parametrize("k", [8, 9, 17])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_categorical(self, k, seed):
+        # One M-step reaches the maximum likelihood of a categorical mixture,
+        # so tol=0 keeps the loop going for a fixed count.
+        rng = np.random.default_rng(600 + seed)
+        truth = MixtureModel.categorical(FiniteDistribution.uniform(k), rng.dirichlet(np.full(2 * k, 0.3), k))
+        data = sample_categorical(rng, truth, 30 * k)
+        init = MixtureModel.categorical(FiniteDistribution.uniform(k), rng.dirichlet(np.full(2 * k, 5.0), k))
+        self.assert_close(init, data, tol=0.0, max_iter=40)
 
 
 @settings(max_examples=60, deadline=None)

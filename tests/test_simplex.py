@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -261,6 +261,32 @@ class TestGibbs:
             assert np.array_equal(probs[i], row_probs, equal_nan=True)
             assert np.array_equal(log_z[i], row_log_z)
 
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, st.tuples(st.integers(1, 17), st.integers(1, 6)), elements=_logit))
+    # 1 then fifteen 1.1e-16 weights: added in order they leave 1, summed
+    # pairwise they reach 1 + 7 eps
+    @example(np.vstack([np.zeros((1, 2)), np.full((15, 2), math.log(1.1e-16))]))
+    def test_axis_0_matches_rows_of_the_transpose(self, table):
+        # Down axis 0 the K rows are added in order; along the last axis of
+        # the contiguous transpose numpy sums pairwise from K = 8. Each sum of
+        # positives is within (K - 1) u of the exact one (u = eps / 2), so the
+        # two agree within K eps relative; below K = 8 the order is the same.
+        k = table.shape[0]
+        probs, log_z = gibbs(table, axis=0)
+        ref_probs, ref_log_z = gibbs(np.ascontiguousarray(table.T))
+        assert probs.shape == table.shape and log_z.shape == table.shape[1:]
+        if k < 8:
+            assert np.array_equal(probs, ref_probs.T, equal_nan=True)
+            assert np.array_equal(log_z, ref_log_z)
+        else:
+            tol = k * np.finfo(float).eps
+            assert np.allclose(probs, ref_probs.T, rtol=tol, atol=0.0, equal_nan=True)
+            assert np.allclose(log_z, ref_log_z, rtol=tol, atol=tol)
+        dead = np.all(table == -np.inf, axis=0)
+        assert np.array_equal(log_z == -np.inf, dead)
+        assert np.all(np.isnan(probs[:, dead]))
+        assert np.all(probs[:, ~dead][table[:, ~dead] == -np.inf] == 0.0)
+
     @given(st.integers(1, 6))
     def test_all_neg_inf_slice(self, n):
         probs, log_z = gibbs(np.full(n, -np.inf))
@@ -268,6 +294,9 @@ class TestGibbs:
         probs, log_z = gibbs(np.array([[0.0] * n, [-np.inf] * n]))
         assert log_z[0] == pytest.approx(math.log(n), abs=1e-15) and log_z[1] == -np.inf
         assert np.allclose(probs[0], 1.0 / n, atol=1e-16)
+        probs, log_z = gibbs(np.array([[0.0, -np.inf]] * n), axis=0)
+        assert log_z[0] == pytest.approx(math.log(n), abs=1e-15) and log_z[1] == -np.inf
+        assert np.allclose(probs[:, 0], 1.0 / n, atol=1e-16) and np.all(np.isnan(probs[:, 1]))
 
     @given(hnp.arrays(float, st.integers(1, 8), elements=_logit), st.sampled_from([math.inf, math.nan]), st.data())
     def test_pos_inf_and_nan_rejected(self, v, bad, data):
@@ -276,6 +305,8 @@ class TestGibbs:
             gibbs(v)
         with pytest.raises(ValueError):
             gibbs(np.vstack([np.zeros_like(v), v]))
+        with pytest.raises(ValueError):
+            gibbs(np.column_stack([np.zeros_like(v), v]), axis=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

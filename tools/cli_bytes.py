@@ -1,12 +1,15 @@
 """Print a sha256 of every stdout femin produces on the benchmark's CLI
-inputs and of every demo's stdout, one `<name> <exit code> <sha256>` line each.
+inputs, of every demo's stdout and of seeded `femin em` runs, one
+`<name> <exit code> <sha256>` line each.
 
 The CLI part runs the 10 `cli_session` invocations (bench/workloads.py) on
 the inputs of seeds 0-2, jobs 0-5: 180 outputs, in-process through
 `femin.cli.main`. The demo part runs each script in demos/ in a fresh
-interpreter. Both use femin from the `src/` next to this file and one BLAS
-thread. Run it on two checkouts and diff the results to see which outputs
-moved:
+interpreter. The em part fits K = 2, 5, 8 and 9 components of both families
+on seeds 0-2 (24 outputs); from K = 8 on, numpy sums a row of K pairwise,
+so it shows which layouts round alike. All use femin from the `src/` next
+to this file and one BLAS thread. Run it on two checkouts and diff the
+results to see which outputs moved:
 
     python tools/cli_bytes.py > after.txt
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -31,10 +35,13 @@ os.environ.update(THREADS)  # before numpy is imported
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import femin.cli  # noqa: E402
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = range(3)
 JOBS = range(6)
+EM_FAMILIES = ("gaussian1d", "categorical")
+EM_COMPONENTS = (2, 5, 8, 9)
 
 
 def digest(text: str) -> str:
@@ -59,6 +66,39 @@ def cli_lines():
                     os.chdir(home)
 
 
+def em_inputs(family, k, seed):
+    """(model dict, CSV text) of one seeded em run: 100 points per component."""
+    rng = np.random.default_rng((seed, k, EM_FAMILIES.index(family)))
+    if family == "gaussian1d":
+        y = rng.normal(rng.uniform(-3.0 * k, 3.0 * k, k)[rng.integers(0, k, 100 * k)], 1.0)
+        init = femin.default_init(y, k, family, seed=seed)
+        return init.to_dict(), "".join(f"{v!r}\n" for v in y.tolist())
+    truth = rng.dirichlet(np.full(2 * k, 0.5), k)
+    comps = rng.integers(0, k, 100 * k)
+    y = np.array([rng.choice(2 * k, p=truth[c]) for c in comps])
+    init = femin.default_init(y, k, family, seed=seed, n_symbols=2 * k)
+    return init.to_dict(), "".join(f"{v}\n" for v in y.tolist())
+
+
+def em_lines():
+    home = os.getcwd()
+    for family in EM_FAMILIES:
+        for k in EM_COMPONENTS:
+            for seed in SEEDS:
+                model, data = em_inputs(family, k, seed)
+                with tempfile.TemporaryDirectory() as workdir:
+                    os.chdir(workdir)
+                    try:
+                        Path("model.json").write_text(json.dumps(model), encoding="utf-8")
+                        Path("data.csv").write_text(data, encoding="utf-8")
+                        out = io.StringIO()
+                        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                            code = femin.cli.main(["em", "--model", "model.json", "--data", "data.csv"])
+                    finally:
+                        os.chdir(home)
+                yield f"em {family} k={k} seed={seed} {code} {digest(out.getvalue())}"
+
+
 def demo_lines():
     env = {**os.environ, **THREADS, "PYTHONPATH": str(ROOT / "src")}
     for path in sorted((ROOT / "demos").glob("*.py")):
@@ -70,7 +110,7 @@ def demo_lines():
 
 
 def main() -> int:
-    for line in (*cli_lines(), *demo_lines()):
+    for line in (*cli_lines(), *demo_lines(), *em_lines()):
         print(line)
     return 0
 
