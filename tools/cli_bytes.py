@@ -7,8 +7,11 @@ the inputs of seeds 0-2, jobs 0-5: 180 outputs, in-process through
 `femin.cli.main`. The demo part runs each script in demos/ in a fresh
 interpreter. The em part fits K = 2, 5, 8 and 9 components of both families
 on seeds 0-2 (24 outputs); from K = 8 on, numpy sums a row of K pairwise,
-so it shows which layouts round alike. All use femin from the `src/` next
-to this file and one BLAS thread. Run it on two checkouts and diff the
+so it shows which layouts round alike. It also fits the `em_fit` benchmark
+job (5000 points, K = 3), where the M-step's summation order matters most,
+and one observation at K = 9, where the E-step's table is a single column,
+on seeds 0-2 each (6 outputs). All use femin from the `src/` next to this
+file and one BLAS thread. Run it on two checkouts and diff the
 results to see which outputs moved:
 
     python tools/cli_bytes.py > after.txt
@@ -80,23 +83,45 @@ def em_inputs(family, k, seed):
     return init.to_dict(), "".join(f"{v}\n" for v in y.tolist())
 
 
-def em_lines():
-    home = os.getcwd()
+def em_bench_inputs(seed):
+    """The `em_fit` workload's job 0 of a seed: 5000 points, K = 3."""
+    y = workloads.EmFit().make_inputs(seed, 0, ".")["y"]
+    return femin.default_init(y, 3, "gaussian1d").to_dict(), "".join(f"{v!r}\n" for v in y.tolist())
+
+
+def em_single_inputs(seed):
+    """One observation and nine overlapping Gaussian components."""
+    rng = np.random.default_rng((seed, 9, 1))
+    weights = femin.FiniteDistribution(rng.dirichlet(np.ones(9)))
+    init = femin.MixtureModel.gaussian1d(weights, rng.normal(0.0, 2.0, 9), rng.uniform(1.0, 4.0, 9))
+    return init.to_dict(), f"{rng.normal()!r}\n"
+
+
+def em_runs():
     for family in EM_FAMILIES:
         for k in EM_COMPONENTS:
             for seed in SEEDS:
-                model, data = em_inputs(family, k, seed)
-                with tempfile.TemporaryDirectory() as workdir:
-                    os.chdir(workdir)
-                    try:
-                        Path("model.json").write_text(json.dumps(model), encoding="utf-8")
-                        Path("data.csv").write_text(data, encoding="utf-8")
-                        out = io.StringIO()
-                        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                            code = femin.cli.main(["em", "--model", "model.json", "--data", "data.csv"])
-                    finally:
-                        os.chdir(home)
-                yield f"em {family} k={k} seed={seed} {code} {digest(out.getvalue())}"
+                yield f"{family} k={k} seed={seed}", em_inputs(family, k, seed)
+    for seed in SEEDS:
+        yield f"gaussian1d k=3 n=5000 seed={seed}", em_bench_inputs(seed)
+    for seed in SEEDS:
+        yield f"gaussian1d k=9 n=1 seed={seed}", em_single_inputs(seed)
+
+
+def em_lines():
+    home = os.getcwd()
+    for name, (model, data) in em_runs():
+        with tempfile.TemporaryDirectory() as workdir:
+            os.chdir(workdir)
+            try:
+                Path("model.json").write_text(json.dumps(model), encoding="utf-8")
+                Path("data.csv").write_text(data, encoding="utf-8")
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = femin.cli.main(["em", "--model", "model.json", "--data", "data.csv"])
+            finally:
+                os.chdir(home)
+        yield f"em {name} {code} {digest(out.getvalue())}"
 
 
 def demo_lines():
