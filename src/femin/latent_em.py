@@ -8,7 +8,9 @@ one-dimensional Gaussians with a variance floor (the floor removes the
 classic likelihood singularity of Gaussian mixtures). The loop keeps one
 C-contiguous K x n table (components by observations) per step: gibbs over
 axis 0 gives the responsibilities and each observation's log-likelihood,
-and the M-step sums along rows. e_step and m_step transpose to n x K.
+and the M-step sums each component's contiguous row pairwise (rounding
+error O(log n) eps rather than the O(n) eps of a sum taken in order).
+e_step and m_step transpose to n x K.
 """
 
 from __future__ import annotations
@@ -193,17 +195,11 @@ def _stats(emissions, y: np.ndarray) -> np.ndarray:
     return one_hot
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Row sums of a K x n table added left to right, as a column sum of the
-    n x K table adds them (a row sum would be pairwise): same bytes."""
-    return np.cumsum(a, axis=1)[:, -1]
-
-
 def _m_step(theta, stats: np.ndarray, r: np.ndarray):
     """m_step's arithmetic on _stats of checked observations and a K x n
     table: (weights, theta) from the previous theta."""
     emissions, means, variances = theta
-    mass = _row_sums(r)
+    mass = r.sum(axis=1)
     degenerate = mass < DEGENERATE_MASS
     if degenerate.any():
         warnings.warn(
@@ -221,8 +217,12 @@ def _m_step(theta, stats: np.ndarray, r: np.ndarray):
         new_emissions = counts / safe_mass[:, None]
         new_emissions[degenerate] = emissions[degenerate]
         return weights, (new_emissions, None, None)
-    new_means = _row_sums(r * stats) / safe_mass
-    sq = _row_sums(r * (stats - new_means[:, None]) ** 2) / safe_mass
+    work = r * stats  # the one K x n temporary; the variance pass reuses it
+    new_means = work.sum(axis=1) / safe_mass
+    np.subtract(stats, new_means[:, None], out=work)
+    work *= work
+    work *= r
+    sq = work.sum(axis=1) / safe_mass
     new_variances = np.where(degenerate, variances, np.maximum(sq, VARIANCE_FLOOR))
     return weights, (None, np.where(degenerate, means, new_means), new_variances)
 

@@ -284,8 +284,19 @@ def _ref_log_joint(model, y):
     return log_w[None, :] + log_dens
 
 
-def _ref_m_step(model, y, r):
-    mass = r.sum(axis=0)
+def pairwise_column_sums(x):
+    """Column sums of an n x K table, each column summed pairwise as a
+    contiguous row: the order em_fit's M-step takes."""
+    return np.ascontiguousarray(x.T).sum(axis=1)
+
+
+def in_order_column_sums(x):
+    """Column sums of an n x K table, the n rows added in order."""
+    return x.sum(axis=0)
+
+
+def _ref_m_step(model, y, r, column_sums):
+    mass = column_sums(r)
     degenerate = mass < 1e-12
     if degenerate.any():
         warnings.warn("degenerate", DegenerateComponentWarning)
@@ -297,22 +308,22 @@ def _ref_m_step(model, y, r):
         emissions = (r.T @ one_hot) / safe_mass[:, None]
         emissions[degenerate] = model.emissions[degenerate]
         return MixtureModel.categorical(weights, emissions)
-    means = (r * y[:, None]).sum(axis=0) / safe_mass
-    sq = (r * (y[:, None] - means[None, :]) ** 2).sum(axis=0) / safe_mass
+    means = column_sums(r * y[:, None]) / safe_mass
+    sq = column_sums(r * (y[:, None] - means[None, :]) ** 2) / safe_mass
     variances = np.maximum(sq, 1e-6)
     means = np.where(degenerate, model.means, means)
     variances = np.where(degenerate, model.variances, variances)
     return MixtureModel.gaussian1d(weights, means, variances)
 
 
-def dataclass_em_fit(init, y, tol, max_iter):
+def dataclass_em_fit(init, y, tol, max_iter, column_sums=pairwise_column_sums):
     """Reference loop: a MixtureModel and a normalized FiniteDistribution per iteration."""
     model = init
     probs, row_log_lik = gibbs(_ref_log_joint(model, y))
     previous = float(row_log_lik.sum())
     trace = []
     for _ in range(max_iter):
-        model = _ref_m_step(model, y, probs)
+        model = _ref_m_step(model, y, probs, column_sums)
         probs, row_log_lik = gibbs(_ref_log_joint(model, y))
         current = float(row_log_lik.sum())
         trace.append(current)
@@ -320,6 +331,31 @@ def dataclass_em_fit(init, y, tol, max_iter):
             break
         previous = current
     return model, np.array(trace)
+
+
+def gaussian_case(seed):
+    rng = np.random.default_rng(200 + seed)
+    data = np.concatenate([rng.normal(-4, 1, 120), rng.normal(0, 0.7, 90), rng.normal(4, 1.2, 90)])
+    return default_init(data, 3, GAUSSIAN1D, seed=seed), data
+
+
+def categorical_case(seed):
+    rng = np.random.default_rng(300 + seed)
+    true_cat = MixtureModel.categorical(
+        FiniteDistribution([0.5, 0.3, 0.2]),
+        [[0.7, 0.2, 0.1, 0.0, 0.0], [0.1, 0.3, 0.4, 0.2, 0.0], [0.0, 0.1, 0.1, 0.3, 0.5]],
+    )
+    data = sample_categorical(rng, true_cat, 250)
+    return default_init(data, 3, CATEGORICAL, seed=seed, n_symbols=5), data
+
+
+def wide_alphabet_case(seed):
+    # 2000 points on 20 symbols: enough for BLAS to round the count
+    # product differently when its operands are laid out differently
+    rng = np.random.default_rng(700 + seed)
+    truth = MixtureModel.categorical(FiniteDistribution([0.5, 0.3, 0.2]), rng.dirichlet(np.full(20, 0.5), 3))
+    data = sample_categorical(rng, truth, 2000)
+    return default_init(data, 3, CATEGORICAL, seed=seed, n_symbols=20), data
 
 
 class TestArrayLoopEm:
@@ -338,28 +374,15 @@ class TestArrayLoopEm:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gaussian_bitwise(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        data = np.concatenate([rng.normal(-4, 1, 120), rng.normal(0, 0.7, 90), rng.normal(4, 1.2, 90)])
-        self.assert_bitwise(default_init(data, 3, GAUSSIAN1D, seed=seed), data)
+        self.assert_bitwise(*gaussian_case(seed))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_categorical_bitwise(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        true_cat = MixtureModel.categorical(
-            FiniteDistribution([0.5, 0.3, 0.2]),
-            [[0.7, 0.2, 0.1, 0.0, 0.0], [0.1, 0.3, 0.4, 0.2, 0.0], [0.0, 0.1, 0.1, 0.3, 0.5]],
-        )
-        data = sample_categorical(rng, true_cat, 250)
-        self.assert_bitwise(default_init(data, 3, CATEGORICAL, seed=seed, n_symbols=5), data)
+        self.assert_bitwise(*categorical_case(seed))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_categorical_wide_alphabet_bitwise(self, seed):
-        # 2000 points on 20 symbols: enough for BLAS to round the count
-        # product differently when its operands are laid out differently
-        rng = np.random.default_rng(700 + seed)
-        truth = MixtureModel.categorical(FiniteDistribution([0.5, 0.3, 0.2]), rng.dirichlet(np.full(20, 0.5), 3))
-        data = sample_categorical(rng, truth, 2000)
-        self.assert_bitwise(default_init(data, 3, CATEGORICAL, seed=seed, n_symbols=20), data)
+        self.assert_bitwise(*wide_alphabet_case(seed))
 
     def test_degenerate_component_bitwise(self):
         data = np.array([0.1, -0.3, 0.4, 0.2])
@@ -379,6 +402,45 @@ class TestArrayLoopEm:
         assert trace.size == 0
         assert np.array_equal(model.weights.probs, init.weights.probs)
         assert np.array_equal(model.means, init.means) and np.array_equal(model.variances, init.variances)
+
+
+class TestInOrderSums:
+    """The M-step sums each component's row pairwise; the dataclass loop
+    with the n rows added in order, as the M-step once did, differs only
+    by rounding and takes the same number of iterations."""
+
+    @staticmethod
+    def assert_close(init, data, tol=1e-10, max_iter=200):
+        model, trace = em_fit(init, data, tol=tol, max_iter=max_iter)
+        ref_model, ref_trace = dataclass_em_fit(
+            init, np.asarray(data), tol=tol, max_iter=max_iter, column_sums=in_order_column_sums
+        )
+        assert trace.size == ref_trace.size
+        assert np.allclose(trace, ref_trace, rtol=1e-12, atol=0.0)
+        assert np.allclose(model.weights.probs, ref_model.weights.probs, rtol=1e-12, atol=0.0)
+        for field in ("emissions", "means", "variances"):
+            ours, ref = getattr(model, field), getattr(ref_model, field)
+            assert (ours is None and ref is None) or np.allclose(ours, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gaussian(self, seed):
+        self.assert_close(*gaussian_case(seed))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_categorical(self, seed):
+        self.assert_close(*categorical_case(seed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_categorical_wide_alphabet(self, seed):
+        self.assert_close(*wide_alphabet_case(seed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gaussian_5000_points(self, seed):
+        # the size of the em_fit benchmark job, where the two orders round
+        # furthest apart
+        rng = np.random.default_rng(800 + seed)
+        data = 6.0 * rng.permutation(np.arange(5000) % 3) - 6.0 + rng.normal(size=5000)
+        self.assert_close(default_init(data, 3, GAUSSIAN1D), data, tol=1e-8, max_iter=500)
 
 
 class TestManyComponents:
