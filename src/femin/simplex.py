@@ -8,6 +8,7 @@ checking supports, so floating-point dust never triggers support errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -174,6 +175,9 @@ def gibbs(logits, axis=-1):
     Max-shifted, so magnitudes up to ~1e3 are safe. log Z drops that axis
     (a numpy scalar for a vector). -inf entries get zero weight; a slice of
     only -inf has log Z = -inf and NaN probabilities. +inf and NaN raise.
+    Down axis 0 of a table the slices are added in order, one numpy call
+    each, for any width and layout, so each column's result is the same as
+    in any other table; the axis is meant to be short (EM's components).
     """
     v = np.asarray(logits, dtype=float)
     if v.size == 0:
@@ -189,7 +193,8 @@ def gibbs(logits, axis=-1):
 
 def _shifted_gibbs(v, m, axis):
     w = np.exp(v - m)
-    total = w.sum(axis=axis, keepdims=True)
+    # numpy would sum a one-column table pairwise, the order of a contiguous axis
+    total = reduce(np.add, w)[None] if axis == 0 and w.ndim > 1 else w.sum(axis=axis, keepdims=True)
     return w / total, m.squeeze(axis) + np.log(total.squeeze(axis))
 
 

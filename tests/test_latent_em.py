@@ -94,6 +94,20 @@ class TestEStep:
         with pytest.raises(ValueError):
             e_step(model, [1])
 
+    @pytest.mark.parametrize("k", [9, 17])
+    def test_row_does_not_depend_on_batch_size(self, k):
+        # A one-column table is contiguous down the components; its sum
+        # must still add them in order, as for any wider table.
+        rng = np.random.default_rng(k)
+        for _ in range(200):
+            model = MixtureModel.gaussian1d(
+                FiniteDistribution(rng.dirichlet(np.ones(k))), rng.normal(0.0, 2.0, k), rng.uniform(0.5, 3.0, k)
+            )
+            y = rng.normal(0.0, 2.0, 3)
+            alone = e_step(model, y[:1])[0]
+            assert np.array_equal(alone, e_step(model, y[:2])[0])
+            assert np.array_equal(alone, e_step(model, y)[0])
+
 
 class TestMStep:
     def test_single_component_reduces_to_mle(self):

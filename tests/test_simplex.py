@@ -282,6 +282,9 @@ class TestGibbs:
             tol = k * np.finfo(float).eps
             assert np.allclose(probs, ref_probs.T, rtol=tol, atol=0.0, equal_nan=True)
             assert np.allclose(log_z, ref_log_z, rtol=tol, atol=tol)
+        first_probs, first_log_z = gibbs(table[:, :1], axis=0)  # a one-column table
+        assert np.array_equal(first_probs, probs[:, :1], equal_nan=True)
+        assert np.array_equal(first_log_z, log_z[:1])
         dead = np.all(table == -np.inf, axis=0)
         assert np.array_equal(log_z == -np.inf, dead)
         assert np.all(np.isnan(probs[:, dead]))
