@@ -77,6 +77,17 @@ class TestSolve:
         error = json.loads(result.stderr)  # the whole of stderr: no warning
         assert error["error"] == "NonFinite" and "tau" in error["message"] and "T = 1e-310" in error["message"]
 
+    @pytest.mark.parametrize("kind", ["neg_entropy", "kl"])
+    def test_gibbs_losses_at_the_double_limit(self, tmp_path, kind):
+        # min L - L overflows to -inf, a zero weight, without a warning
+        penalty = {"kind": kind} if kind == "neg_entropy" else {"kind": kind, "prior": [0.2, 0.3, 0.5]}
+        problem = write_json(tmp_path / "p.json", {"losses": [1e308, -1e308, 0], "temperature": 1.0, "penalty": penalty})
+        result = run_cli("solve", "--problem", problem)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        solution = json.loads(result.stdout)["solution"]
+        assert solution == {"j_opt": -1e308, "q_opt": [0.0, 1.0, 0.0]}
+
     def test_non_finite_value_is_not_written(self, problem_file, monkeypatch, capsys):
         import femin.cli
         from femin import FiniteDistribution
@@ -224,6 +235,21 @@ class TestSubcommands:
         assert data.shape == (41, len(header))
         for col in range(3, len(header)):
             assert data[:, col].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_figure1_at_a_subnormal_temperature(self, tmp_path):
+        out = tmp_path / "figure.csv"
+        result = run_cli("figure1", "--n-points", 21, "--temperatures", "1e-310", "--output", out, "--quiet")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""  # no overflow warning
+        lines = out.read_text().splitlines()
+        header = lines[1].split(",")
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        for col in range(3, len(header)):
+            # the T -> 0 limit: all mass on the loss's minimizers
+            column = data[:, col]
+            assert column.sum() == 1.0
+            assert np.all(column[data[:, 1] > data[:, 1].min()] == 0.0)
 
 
 class TestExitCodes:

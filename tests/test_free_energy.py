@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -272,6 +272,19 @@ class TestClosedForms:
         assert np.all(np.isfinite(sol.q_opt.probs))
         assert sol.j_opt == pytest.approx(-1e3, abs=1e-9)
 
+    def test_losses_at_the_double_limit(self):
+        # min L - L overflows to -inf, a zero weight, at any temperature
+        for t in (1e-300, 1.0, 1e300):
+            for problem in (neg_entropy_problem([1e308, -1e308, 0.0], t), kl_problem([1e308, -1e308, 0.0], [0.2, 0.3, 0.5], t)):
+                sol = minimize_closed_form(problem)
+                assert np.array_equal(sol.q_opt.probs, [0.0, 1.0, 0.0])
+                assert sol.j_opt == pytest.approx(free_energy(problem, sol.q_opt), rel=1e-15)
+
+    def test_value_beyond_the_doubles_raises(self):
+        # j_opt = min L - T log 3 is about -1.9e308 at T = 1.7e308
+        with pytest.raises(NonFinite, match=r"j_opt has no double value at T = 1.7e\+308"):
+            minimize_closed_form(neg_entropy_problem([0.0, 1.0, 2.0], t=1.7e308))
+
     def test_zero_prior_entry_rejected_for_kl(self):
         with pytest.raises(NonPositivePrior):
             ComplexityPenalty.kl_to_prior(FiniteDistribution([1.0, 0.0]))
@@ -281,6 +294,35 @@ class TestClosedForms:
             ComplexityPenalty(NEG_ENTROPY, FiniteDistribution.uniform(2))
         with pytest.raises(ValueError):
             ComplexityPenalty(KL_TO_PRIOR)
+
+
+_limit_losses = st.lists(
+    st.one_of(st.sampled_from([-1e308, -1.0, 0.0, 1.0, 1e308]), st.floats(-1e308, 1e308)), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_limit_losses, st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300]), st.sampled_from([NEG_ENTROPY, KL_TO_PRIOR]), st.data())
+def test_gibbs_zero_temperature_limit(losses, t, kind, data):
+    # Every gap between distinct losses is over 800 T, so exp(-gap / T) is
+    # 0 in doubles and the minimizer is the exact T -> 0 limit: uniform on
+    # argmin L for neg_entropy, the prior restricted to argmin L for kl.
+    losses = np.array(losses)
+    with np.errstate(over="ignore"):
+        gaps = np.diff(np.unique(losses))
+    assume(gaps.size == 0 or gaps.min() > 800 * t)
+    on_min = losses == losses.min()
+    if kind == NEG_ENTROPY:
+        problem, expected = neg_entropy_problem(losses, t), on_min / on_min.sum()
+    else:
+        prior = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=losses.size, max_size=losses.size)))
+        prior /= prior.sum()
+        problem, expected = kl_problem(losses, prior, t), np.where(on_min, prior, 0.0) / prior[on_min].sum()
+    sol = minimize_closed_form(problem)
+    assert np.all(sol.q_opt.probs[~on_min] == 0.0)
+    assert np.allclose(sol.q_opt.probs, expected, rtol=1e-14, atol=0.0)
+    # J at the limit is min L: T log Z is at most about 800 T here
+    assert sol.j_opt == pytest.approx(losses.min(), rel=1e-15, abs=1e3 * t)
 
 
 class TestBruteForceOracle:
