@@ -197,41 +197,34 @@ def solve_tau(p: FiniteDistribution, l: LossVector, temperature: float) -> float
 
 def _closed_form(problem: FreeEnergyProblem):
     """(probs, j_opt, tau) of the minimizer; tau is None for the Gibbs kinds.
-    Both branches shift the losses by min L before dividing by T, so every
-    scaled gap is <= 0 and one is 0; a gap overflowing to -inf is a zero
-    weight, and T -> 0 gives the exact limit on argmin L. Gibbs: the logits
-    are (min L - L)/T (+ log p), and j_opt = min L - T log Z is finite.
-    L2 projects p - (L - min L)/T (the projection is translation-equivariant);
-    its j_opt is free_energy's two dot products, in order, so the two agree
-    bitwise."""
+    Losses are shifted by min L before dividing by T, so T -> 0 gives the
+    exact limit on argmin L. A Gibbs j_opt is min L - T log Z; L2 projects
+    p - (L - min L)/T, and its j_opt is free_energy's two dot products, in
+    order, so the two agree bitwise."""
     losses, t, kind = problem.loss.losses, problem.temperature, problem.penalty.kind
     low = losses.min()
-    if kind == HALF_SQ_L2:
-        prior = problem.penalty.prior.probs
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow to inf is a zero weight or a value with no double
+        if kind == HALF_SQ_L2:
+            prior = problem.penalty.prior.probs
             probs, tau = _project(prior - (losses - low) / t)
-            tau = float(tau - low / t)
-        diff = probs - prior
-        return probs, float(probs @ losses) + t * float(0.5 * (diff @ diff)), tau
-    with np.errstate(over="ignore"):
+            diff = probs - prior
+            return probs, float(probs @ losses) + t * float(0.5 * (diff @ diff)), float(tau - low / t)
         logits = (low - losses) / t
-    if kind == KL_TO_PRIOR:
-        logits += np.log(problem.penalty.prior.probs)
-    probs, log_z = gibbs(logits)
-    with np.errstate(over="ignore"):  # -inf when T log Z is beyond the doubles
+        if kind == KL_TO_PRIOR:
+            logits += np.log(problem.penalty.prior.probs)
+        probs, log_z = gibbs(logits)
         return probs, float(low - t * log_z), None
 
 
 def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
     """Exact minimizer of J for the problem's penalty kind. The Gibbs kinds
-    share the max-shifted kernel on losses shifted by min L, so any finite
-    losses and any T > 0 are safe, and j_opt is scaled by T: it is J's
-    minimum at the problem's own temperature. A j_opt or an L2 tau beyond the doubles raises NonFinite."""
+    share the max-shifted kernel, so any finite losses are safe, and j_opt
+    is scaled by T: it is J's minimum at the problem's own temperature. A
+    j_opt or an L2 tau beyond the doubles raises NonFinite."""
     probs, j_opt, tau = _closed_form(problem)
-    if tau is not None and not np.isfinite(tau):
-        raise NonFinite(f"tau has no double value at T = {problem.temperature!r}")
-    if not np.isfinite(j_opt):
-        raise NonFinite(f"j_opt has no double value at T = {problem.temperature!r}")
+    for name, value in (("tau", tau), ("j_opt", j_opt)):
+        if value is not None and not np.isfinite(value):
+            raise NonFinite(f"{name} has no double value at T = {problem.temperature!r}")
     return Solution(FiniteDistribution(probs), j_opt, tau)
 
 

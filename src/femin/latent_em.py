@@ -8,9 +8,7 @@ one-dimensional Gaussians with a variance floor (the floor removes the
 classic likelihood singularity of Gaussian mixtures). The loop keeps one
 C-contiguous K x n table (components by observations) per step: gibbs over
 axis 0 gives the responsibilities and each observation's log-likelihood,
-and the M-step sums each component's contiguous row pairwise (rounding
-error O(log n) eps rather than the O(n) eps of a sum taken in order).
-e_step and m_step transpose to n x K.
+and the M-step sums rows pairwise. e_step and m_step transpose to n x K.
 """
 
 from __future__ import annotations
@@ -219,10 +217,8 @@ def _m_step(theta, stats: np.ndarray, r: np.ndarray):
         return weights, (new_emissions, None, None)
     work = r * stats  # the one K x n temporary; the variance pass reuses it
     new_means = work.sum(axis=1) / safe_mass
-    np.subtract(stats, new_means[:, None], out=work)
-    work *= work
-    work *= r
-    sq = work.sum(axis=1) / safe_mass
+    np.square(np.subtract(stats, new_means[:, None], out=work), out=work)
+    sq = np.multiply(work, r, out=work).sum(axis=1) / safe_mass
     new_variances = np.where(degenerate, variances, np.maximum(sq, VARIANCE_FLOOR))
     return weights, (None, np.where(degenerate, means, new_means), new_variances)
 

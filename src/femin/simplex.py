@@ -176,8 +176,7 @@ def gibbs(logits, axis=-1):
     (a numpy scalar for a vector). -inf entries get zero weight; a slice of
     only -inf has log Z = -inf and NaN probabilities. +inf and NaN raise.
     Down axis 0 of a table the slices are added in order, one numpy call
-    each, for any width and layout, so each column's result is the same as
-    in any other table; the axis is meant to be short (EM's components).
+    each, so a column's result does not depend on the others; keep it short.
     """
     v = np.asarray(logits, dtype=float)
     if v.size == 0:
@@ -193,7 +192,6 @@ def gibbs(logits, axis=-1):
 
 def _shifted_gibbs(v, m, axis):
     w = np.exp(v - m)
-    # numpy would sum a one-column table pairwise, the order of a contiguous axis
     total = reduce(np.add, w)[None] if axis == 0 and w.ndim > 1 else w.sum(axis=axis, keepdims=True)
     return w / total, m.squeeze(axis) + np.log(total.squeeze(axis))
 
