@@ -81,7 +81,9 @@ class TestSolve:
     def test_gibbs_losses_at_the_double_limit(self, tmp_path, kind):
         # min L - L overflows to -inf, a zero weight, without a warning
         penalty = {"kind": kind} if kind == "neg_entropy" else {"kind": kind, "prior": [0.2, 0.3, 0.5]}
-        problem = write_json(tmp_path / "p.json", {"losses": [1e308, -1e308, 0], "temperature": 1.0, "penalty": penalty})
+        problem = write_json(
+            tmp_path / "p.json", {"losses": [1e308, -1e308, 0], "temperature": 1.0, "penalty": penalty}
+        )
         result = run_cli("solve", "--problem", problem)
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
@@ -235,7 +237,6 @@ class TestSubcommands:
         assert data.shape == (41, len(header))
         for col in range(3, len(header)):
             assert data[:, col].sum() == pytest.approx(1.0, abs=1e-9)
-
 
     def test_figure1_at_a_subnormal_temperature(self, tmp_path):
         out = tmp_path / "figure.csv"

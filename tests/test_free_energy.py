@@ -274,8 +274,9 @@ class TestClosedForms:
 
     def test_losses_at_the_double_limit(self):
         # min L - L overflows to -inf, a zero weight, at any temperature
+        losses = [1e308, -1e308, 0.0]
         for t in (1e-300, 1.0, 1e300):
-            for problem in (neg_entropy_problem([1e308, -1e308, 0.0], t), kl_problem([1e308, -1e308, 0.0], [0.2, 0.3, 0.5], t)):
+            for problem in (neg_entropy_problem(losses, t), kl_problem(losses, [0.2, 0.3, 0.5], t)):
                 sol = minimize_closed_form(problem)
                 assert np.array_equal(sol.q_opt.probs, [0.0, 1.0, 0.0])
                 assert sol.j_opt == pytest.approx(free_energy(problem, sol.q_opt), rel=1e-15)
@@ -302,7 +303,12 @@ _limit_losses = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_limit_losses, st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300]), st.sampled_from([NEG_ENTROPY, KL_TO_PRIOR]), st.data())
+@given(
+    _limit_losses,
+    st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300]),
+    st.sampled_from([NEG_ENTROPY, KL_TO_PRIOR]),
+    st.data(),
+)
 def test_gibbs_zero_temperature_limit(losses, t, kind, data):
     # Every gap between distinct losses is over 800 T, so exp(-gap / T) is
     # 0 in doubles and the minimizer is the exact T -> 0 limit: uniform on
