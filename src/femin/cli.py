@@ -195,13 +195,11 @@ def cmd_elbo(args) -> None:
 
 def cmd_em(args) -> None:
     init = _from_dict(MixtureModel.from_dict, _load_json(args.model), "model file")
-    raw = _load_csv_column(args.data, float)
+    data = _load_csv_column(args.data, float)
     if init.kind == CATEGORICAL:
-        if not np.all(raw == np.round(raw)):
+        if not np.all(data == np.round(data)):
             raise InputError(f"{args.data}: categorical observations must be integers")
-        data = raw.astype(np.int64)
-    else:
-        data = raw
+        data = data.astype(np.int64)
     model, trace = em_fit(init, data, tol=args.tol, max_iter=args.max_iter)
     _emit_json(
         {"model": model.to_dict(), "trace": trace.tolist(), "iterations": len(trace)}, args
@@ -244,18 +242,11 @@ def cmd_klest(args) -> None:
 
 
 def cmd_mirror(args) -> None:
-    if args.oracle == "linear":
-        if args.l is None:
-            raise InputError("--l is required for the linear oracle")
-        oracle = make_oracle("linear", _parse_number_list(args.l, "--l"))
-    elif args.oracle == "quadratic-to-target":
-        if args.target is None:
-            raise InputError("--target is required for the quadratic-to-target oracle")
-        oracle = make_oracle("quadratic-to-target", _parse_number_list(args.target, "--target"))
-    else:  # entropy-regularized-linear, the last of the parser's choices
-        if args.l is None:
-            raise InputError("--l is required for the entropy-regularized-linear oracle")
-        oracle = make_oracle("entropy-regularized-linear", _parse_number_list(args.l, "--l"), args.reg)
+    flag = "target" if args.oracle == "quadratic-to-target" else "l"
+    if getattr(args, flag) is None:
+        raise InputError(f"--{flag} is required for the {args.oracle} oracle")
+    extra = (args.reg,) if args.oracle == "entropy-regularized-linear" else ()
+    oracle = make_oracle(args.oracle, _parse_number_list(getattr(args, flag), f"--{flag}"), *extra)
     if args.x0:
         x0 = FiniteDistribution(np.asarray(_parse_number_list(args.x0, "--x0")))
     else:

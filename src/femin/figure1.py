@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free_energy import (
-    HALF_SQ_L2,
-    KL_TO_PRIOR,
-    NEG_ENTROPY,
-    ComplexityPenalty,
-    FreeEnergyProblem,
-    minimize_closed_form,
-)
+from .free_energy import NEG_ENTROPY, PENALTY_KINDS, ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
 from .simplex import FiniteDistribution, LossVector, gibbs
 
 LOSS_SCALE_MAX = 5.0
@@ -64,7 +57,7 @@ class Figure1Table:
     def columns(self):
         """Deterministic (name, vector) pairs for CSV export."""
         cols = [("x", self.x), ("loss", self.loss), ("prior", self.prior.probs)]
-        for kind in (NEG_ENTROPY, KL_TO_PRIOR, HALF_SQ_L2):
+        for kind in PENALTY_KINDS:
             for t in self.temperatures:
                 cols.append((f"q_{kind}_T{t:g}", self.solutions[(kind, t)].probs))
         return cols
@@ -103,14 +96,9 @@ def figure1_table(
     table = scale_loss(raw)
     loss_vec = LossVector(table)
     prior = grid_prior(x)
-    penalties = {
-        NEG_ENTROPY: ComplexityPenalty.neg_entropy(),
-        KL_TO_PRIOR: ComplexityPenalty.kl_to_prior(prior),
-        HALF_SQ_L2: ComplexityPenalty.half_sq_l2_to_prior(prior),
-    }
     solutions = {}
-    for kind, penalty in penalties.items():
+    for kind in PENALTY_KINDS:
+        penalty = ComplexityPenalty(kind, None if kind == NEG_ENTROPY else prior)
         for t in temps:
-            problem = FreeEnergyProblem(loss_vec, t, penalty)
-            solutions[(kind, t)] = minimize_closed_form(problem).q_opt
+            solutions[(kind, t)] = minimize_closed_form(FreeEnergyProblem(loss_vec, t, penalty)).q_opt
     return Figure1Table(x, table, prior, temps, solutions)

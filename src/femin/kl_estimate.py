@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamples, NonFinite, SupportViolation
-from .simplex import SUPPORT_EPS, FiniteDistribution, _check_count, _symbol_indices, gibbs, log_sum_exp
+from .simplex import SUPPORT_EPS, FiniteDistribution, gibbs, log_sum_exp
+from .simplex import _as_readonly_vector, _check_count, _symbol_indices
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,7 @@ class TabularFunction:
     excluded: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("values must be a nonempty vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        values.setflags(write=False)
+        values = _as_readonly_vector(self.values, "values")
         object.__setattr__(self, "values", values)
         if self.excluded is not None:
             excluded = np.array(self.excluded, dtype=bool, copy=True)

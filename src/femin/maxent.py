@@ -7,8 +7,16 @@ concave dual
     d(lambda) = lambda @ alpha - log sum_x exp(sum_k lambda_k f_k(x))
 
 with damped Newton steps. The optimizer is the exponential-family member
-q(x) proportional to exp(sum_k lambda_k f_k(x)). Targets on the boundary of
-the feasible hull are rejected: no finite lambda represents them.
+q(x) proportional to exp(sum_k lambda_k f_k(x)).
+
+The same loop decides feasibility, with a certificate either way. Feasible:
+the returned q > 0 meets every moment within tol. Infeasible: a unit d with
+
+    max_x d @ (f(x) - alpha) <= eps  and  min_x d @ (f(x) - alpha) < -eps,
+
+eps = tol * (1 + max |f|), so alpha is outside the hull of the f(x) or
+within eps of its relative boundary (Stiemke's alternative). Targets that
+close to the boundary may end Infeasible or NotConverged.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, NotConverged
-from .simplex import FiniteDistribution, _check_count, gibbs, log_sum_exp
+from .simplex import FiniteDistribution, _as_readonly_vector, _check_count, gibbs, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -29,16 +37,10 @@ class MomentConstraint:
     target: float
 
     def __post_init__(self):
-        feature = np.array(self.feature, dtype=float, copy=True)
-        if feature.ndim != 1 or feature.size < 1:
-            raise ValueError("feature must be a nonempty vector")
-        if not np.all(np.isfinite(feature)):
-            raise ValueError("feature values must be finite")
         target = float(self.target)
         if not np.isfinite(target):
             raise ValueError("target must be finite")
-        feature.setflags(write=False)
-        object.__setattr__(self, "feature", feature)
+        object.__setattr__(self, "feature", _as_readonly_vector(self.feature, "feature"))
         object.__setattr__(self, "target", target)
 
 
@@ -48,12 +50,14 @@ class FeasibilityReport:
 
     ``violated`` lists 0-based indices of constraints whose target falls
     outside the open interval (min f_k, max f_k). ``jointly_feasible`` is
-    true when some strictly positive distribution meets every target.
-    """
+    true when the dual Newton loop found a q > 0 meeting every target within
+    tol. ``certificate`` is None when feasible, else the unit d of the module
+    docstring: +-e_k for the first failed interval check, or the loop's."""
 
     marginal_ok: tuple
     jointly_feasible: bool
     violated: tuple
+    certificate: tuple | None = None
 
     @property
     def feasible(self) -> bool:
@@ -77,79 +81,54 @@ def _stack_features(constraints):
     return features, targets
 
 
-def check_feasibility(constraints) -> FeasibilityReport:
-    """Check that each target is strictly inside its feature's value range,
-    and (for two or more constraints) that a strictly positive distribution
-    can satisfy all targets at once, via a small linear program maximizing
-    the minimum coordinate."""
-    if len(constraints) == 0:
-        return FeasibilityReport((), True, ())
-    features, targets = _stack_features(constraints)
-    marginal_ok = tuple(
-        bool(features[k].min() < targets[k] < features[k].max()) for k in range(len(constraints))
-    )
+def _interval_report(features, targets) -> FeasibilityReport:
+    high = features.max(axis=1)
+    marginal_ok = tuple(bool(lo < t < hi) for lo, t, hi in zip(features.min(axis=1), targets, high))
     violated = tuple(k for k, ok in enumerate(marginal_ok) if not ok)
-    if not all(marginal_ok):
-        return FeasibilityReport(marginal_ok, False, violated)
-    if len(constraints) == 1:
+    if not violated:
         return FeasibilityReport(marginal_ok, True, violated)
-
-    # Imported here: scipy.optimize is most of femin's import time, and only
-    # this linear program needs it.
-    from scipy.optimize import linprog
-
-    # maximize t subject to F q = alpha, sum(q) = 1, q_i >= t; the optimum is
-    # positive exactly when the targets sit in the relative interior.
-    m, n = features.shape
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    a_eq = np.zeros((m + 1, n + 1))
-    a_eq[:m, :n] = features
-    a_eq[m, :n] = 1.0
-    b_eq = np.concatenate([targets, [1.0]])
-    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    bounds = [(0.0, 1.0)] * n + [(None, 1.0)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    jointly = bool(res.status == 0 and -res.fun > 1e-12)
-    return FeasibilityReport(marginal_ok, jointly, violated)
+    d = np.zeros(len(targets))
+    d[violated[0]] = 1.0 if targets[violated[0]] >= high[violated[0]] else -1.0
+    return FeasibilityReport(marginal_ok, False, violated, tuple(d.tolist()))
 
 
-def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: int = 200) -> MaxEntSolution:
-    """Fit the max-entropy distribution matching the given moments.
+def _infeasible(report: FeasibilityReport) -> Infeasible:
+    return Infeasible(
+        f"targets not strictly inside the feasible hull (violated constraints: {list(report.violated)})",
+        report=report,
+    )
 
-    Damped Newton on the dual: gradient alpha - E_q[f], Hessian -Cov_q(f),
-    with step halving until the dual increases; falls back to a fixed-step
-    gradient ascent when the covariance is numerically singular. Raises
-    Infeasible for targets outside (or on the boundary of) the feasible
-    hull and NotConverged when max_iter is exhausted.
-    """
-    n_x = int(alphabet_size)
-    if n_x < 1:
-        raise ValueError("alphabet_size must be >= 1")
-    max_iter = _check_count(max_iter, "max_iter", 0)
-    m = len(constraints)
-    if m == 0:
-        return MaxEntSolution(
-            np.zeros(0), FiniteDistribution.uniform(n_x), 0, 0.0, np.array([-np.log(n_x)])
-        )
-    if m > n_x - 1:
-        raise ValueError(f"at most {n_x - 1} constraints supported on {n_x} symbols, got {m}")
-    features, targets = _stack_features(constraints)
-    if features.shape[1] != n_x:
-        raise ValueError(f"features are over {features.shape[1]} symbols, expected {n_x}")
-    report = check_feasibility(constraints)
-    if not report.feasible:
-        raise Infeasible(
-            f"targets not strictly inside the feasible hull (violated constraints: {list(report.violated)})",
-            report=report,
-        )
+
+def _raise_if_separating(shifted, candidates, eps):
+    """Raise Infeasible with the first of +-candidates that, at unit length,
+    meets the certificate's test (module docstring)."""
+    d = np.array(candidates)
+    norms = np.linalg.norm(d, axis=1)
+    d = d[norms > 0.0] / norms[norms > 0.0, None]
+    d = np.vstack([d, -d])
+    g = d @ shifted
+    hits = np.flatnonzero((g.max(axis=1) <= eps) & (g.min(axis=1) < -eps))
+    if hits.size:
+        raise _infeasible(FeasibilityReport((True,) * len(shifted), False, (), tuple(d[hits[0]].tolist())))
+
+
+def _dual_newton(features, targets, tol, max_iter):
+    """Damped Newton on the dual from lambda = 0: (lambdas, q, iterations,
+    residual, dual trace) once q meets the moments within tol. Infeasible if
+    lambda separates first (it does once the dual is above 0, which bounds
+    -H(q) <= 0 at any feasible target), or the last step does, or, at that
+    return, either one projected onto the normals of the face of the symbols
+    with q > sqrt(tol), where a boundary target sits."""
+    m = features.shape[0]
+    shifted = features - targets[:, None]
+    eps = tol * (1.0 + float(np.abs(features).max()))
 
     def dual(lam):
         return float(lam @ targets - log_sum_exp(lam @ features))
 
     fallback_step = 1.0 / float((features * features).sum(axis=0).max())
     lam = np.zeros(m)
+    direction = np.zeros(m)
     dual_trace = [dual(lam)]
     residual = np.inf
     for iteration in range(max_iter):
@@ -157,14 +136,17 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
         mean_f = features @ q
         grad = targets - mean_f
         residual = float(np.abs(grad).max())
+        candidates = [lam, direction]
         if residual <= tol:
-            return MaxEntSolution(
-                lam, FiniteDistribution(q), iteration, residual, np.array(dual_trace)
-            )
+            u, s, _ = np.linalg.svd(shifted[:, q > np.sqrt(tol)])
+            off_face = u[:, int((s > 1e-9 * s.max(initial=0.0)).sum()) :]
+            candidates += [off_face @ (off_face.T @ c) for c in candidates]
+        _raise_if_separating(shifted, candidates, eps)
+        if residual <= tol:
+            return lam, q, iteration, residual, np.array(dual_trace)
         cov = (features * q) @ features.T - np.outer(mean_f, mean_f)
         eigvals = np.linalg.eigvalsh(cov)
-        well_conditioned = eigvals[-1] > 0 and eigvals[0] / eigvals[-1] >= 1e-12
-        if well_conditioned:
+        if eigvals[-1] > 0 and eigvals[0] / eigvals[-1] >= 1e-12:  # well conditioned
             direction = np.linalg.solve(cov, grad)
         else:
             direction = fallback_step * grad
@@ -183,8 +165,50 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
             candidate = dual(lam + direction)
         lam = lam + step * direction
         dual_trace.append(candidate)
-    raise NotConverged(
-        f"moment residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations",
-        residual=residual,
-        iterations=max_iter,
-    )
+    message = f"moment residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations"
+    raise NotConverged(message, residual=residual, iterations=max_iter)
+
+
+def check_feasibility(constraints, tol: float = 1e-8, max_iter: int = 200) -> FeasibilityReport:
+    """Check that each target is strictly inside its feature's value range,
+    and (for two or more constraints) that solve_maxent's loop finds a q > 0
+    meeting all targets within tol, not a certificate (module docstring).
+    Raises NotConverged when it finds neither within max_iter."""
+    if len(constraints) == 0:
+        return FeasibilityReport((), True, ())
+    features, targets = _stack_features(constraints)
+    report = _interval_report(features, targets)
+    if report.feasible and len(constraints) > 1:
+        try:
+            _dual_newton(features, targets, tol, _check_count(max_iter, "max_iter", 0))
+        except Infeasible as err:
+            return err.report
+    return report
+
+
+def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: int = 200) -> MaxEntSolution:
+    """Fit the max-entropy distribution matching the given moments.
+
+    Damped Newton on the dual: gradient alpha - E_q[f], Hessian -Cov_q(f),
+    with step halving until the dual increases; falls back to a fixed-step
+    gradient ascent when the covariance is numerically singular. Raises
+    Infeasible, with a certificate on its report, for targets outside (or
+    on the boundary of) the feasible hull and NotConverged when max_iter is
+    exhausted."""
+    n_x = int(alphabet_size)
+    if n_x < 1:
+        raise ValueError("alphabet_size must be >= 1")
+    max_iter = _check_count(max_iter, "max_iter", 0)
+    m = len(constraints)
+    if m == 0:
+        return MaxEntSolution(np.zeros(0), FiniteDistribution.uniform(n_x), 0, 0.0, np.array([-np.log(n_x)]))
+    if m > n_x - 1:
+        raise ValueError(f"at most {n_x - 1} constraints supported on {n_x} symbols, got {m}")
+    features, targets = _stack_features(constraints)
+    if features.shape[1] != n_x:
+        raise ValueError(f"features are over {features.shape[1]} symbols, expected {n_x}")
+    report = _interval_report(features, targets)
+    if not report.feasible:
+        raise _infeasible(report)
+    lam, q, iterations, residual, dual_trace = _dual_newton(features, targets, tol, max_iter)
+    return MaxEntSolution(lam, FiniteDistribution(q), iterations, residual, dual_trace)

@@ -26,6 +26,8 @@ def _as_readonly_vector(values, name):
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name} must have at least one entry")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -60,8 +62,6 @@ class FiniteDistribution:
 
     def __post_init__(self):
         probs = _as_readonly_vector(self.probs, "probs")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -108,10 +108,7 @@ class LossVector:
     losses: np.ndarray
 
     def __post_init__(self):
-        losses = _as_readonly_vector(self.losses, "losses")
-        if not np.all(np.isfinite(losses)):
-            raise ValueError("losses must be finite")
-        object.__setattr__(self, "losses", losses)
+        object.__setattr__(self, "losses", _as_readonly_vector(self.losses, "losses"))
 
     @property
     def alphabet_size(self) -> int:

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,3 +171,150 @@ class TestSolveMaxent:
             solve_maxent([MomentConstraint([0.0, 1.0], 0.499)], 2, tol=1e-14, max_iter=1)
         assert err.value.iterations == 1
         assert err.value.residual is not None
+
+
+def assert_certificate(err, features, targets, tol=1e-8):
+    """The Infeasible certificate test, computed here from its documented form."""
+    d = np.asarray(err.report.certificate)
+    assert d.shape == (len(targets),)
+    assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
+    g = d @ (np.asarray(features, dtype=float) - np.asarray(targets, dtype=float)[:, None])
+    eps = tol * (1.0 + np.abs(features).max())
+    assert g.max() <= eps and g.min() < -eps
+
+
+def lp_interior_margin(features, targets):
+    """LP oracle: the largest t with some q >= t, F q = alpha, sum q = 1,
+    or None when no q >= 0 meets the targets."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = features.shape
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    a_eq = np.zeros((m + 1, n + 1))
+    a_eq[:m, :n] = features
+    a_eq[m, :n] = 1.0
+    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    res = linprog(
+        cost, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=np.append(targets, 1.0),
+        bounds=[(0.0, 1.0)] * n + [(None, 1.0)], method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return -res.fun if res.status == 0 else None
+
+
+def affinely_independent_features(rng):
+    n = int(rng.integers(3, 9))
+    m = int(rng.integers(2, min(4, n - 1) + 1))
+    while True:
+        if rng.random() < 0.5:
+            features = rng.integers(-3, 4, size=(m, n)).astype(float)
+        else:
+            features = rng.normal(size=(m, n))
+        if np.linalg.matrix_rank(np.vstack([features, np.ones(n)])) == m + 1:
+            return features
+
+
+def random_target(rng, features):
+    """An interior mixture, a mixture over a random subset of the symbols
+    (often on a face of the hull), or a mixture pushed off by noise."""
+    m, n = features.shape
+    kind = int(rng.integers(3))
+    mix = rng.dirichlet(np.ones(n))
+    if kind == 1:
+        mix[rng.random(n) < 0.5] = 0.0
+        mix[int(rng.integers(n))] += 1.0
+        mix /= mix.sum()
+    target = features @ mix
+    return target + rng.normal(scale=0.5, size=m) if kind == 2 else target
+
+
+class TestJointFeasibilityAgainstLP:
+    def test_seeded_instances_agree_with_the_lp(self):
+        rng = np.random.default_rng(2020)
+        seen = {"interior": 0, "infeasible": 0, "boundary": 0}
+        for _ in range(600):
+            features = affinely_independent_features(rng)
+            targets = random_target(rng, features)
+            m, n = features.shape
+            constraints = [MomentConstraint(features[k], targets[k]) for k in range(m)]
+            margin = lp_interior_margin(features, targets)
+            if margin is not None and margin > 1e-6:
+                result = solve_maxent(constraints, n)
+                assert np.all(result.q.probs > 0.0)
+                assert np.abs(features @ result.q.probs - targets).max() <= 1e-8
+                report = check_feasibility(constraints)
+                assert report.feasible and report.certificate is None
+                seen["interior"] += 1
+            elif margin is None:
+                centre = features.mean(axis=1)
+                inward = targets + 1e-6 * (centre - targets) / np.linalg.norm(centre - targets)
+                if lp_interior_margin(features, inward) is not None:
+                    continue  # within 1e-6 of the hull: the band where either answer may come
+                with pytest.raises(Infeasible) as err:
+                    solve_maxent(constraints, n)
+                assert_certificate(err.value, features, targets)
+                report = check_feasibility(constraints)
+                assert not report.feasible and report.certificate is not None
+                seen["infeasible"] += 1
+            elif margin <= 1e-12:
+                with pytest.raises((Infeasible, NotConverged)) as err:
+                    solve_maxent(constraints, n)
+                if isinstance(err.value, Infeasible):
+                    assert_certificate(err.value, features, targets)
+                seen["boundary"] += 1
+        assert min(seen.values()) >= 60, seen
+
+
+class TestCertificates:
+    triangle = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+    def constraints(self, targets):
+        return [MomentConstraint(f, t) for f, t in zip(self.triangle, targets)]
+
+    def test_jointly_infeasible_pair_is_separated(self):
+        # each target is inside its interval, but 0.6 + 0.6 > 1 leaves the triangle
+        with pytest.raises(Infeasible) as err:
+            solve_maxent(self.constraints([0.6, 0.6]), 3)
+        assert "violated constraints: []" in str(err.value)
+        assert err.value.report.violated == ()
+        assert_certificate(err.value, np.array(self.triangle), [0.6, 0.6])
+        report = check_feasibility(self.constraints([0.6, 0.6]))
+        assert not report.jointly_feasible and report.marginal_ok == (True, True)
+        assert_certificate(Infeasible("", report), np.array(self.triangle), [0.6, 0.6])
+
+    def test_boundary_target_is_never_solved(self):
+        with pytest.raises((Infeasible, NotConverged)) as err:
+            solve_maxent(self.constraints([0.5, 0.5]), 3)
+        if isinstance(err.value, Infeasible):
+            assert_certificate(err.value, np.array(self.triangle), [0.5, 0.5])
+            assert np.allclose(err.value.report.certificate, [0.5**0.5, 0.5**0.5])
+
+    def test_interval_failures_carry_a_unit_vector(self):
+        for target, sign in ((1.5, 1.0), (1.0, 1.0), (0.0, -1.0), (-2.0, -1.0)):
+            constraints = [MomentConstraint([0.0, 1.0, 2.0], 1.0), MomentConstraint([0.0, 1.0, 0.0], target)]
+            report = check_feasibility(constraints)
+            assert report.violated == (1,) and report.certificate == (0.0, sign)
+            with pytest.raises(Infeasible) as err:
+                solve_maxent(constraints, 3)
+            assert err.value.report == report
+
+    def test_feasible_report_has_no_certificate(self):
+        report = check_feasibility(self.constraints([0.2, 0.3]))
+        assert report.feasible and report.certificate is None
+
+
+def test_maxent_runs_without_scipy(tmp_path):
+    constraints = tmp_path / "constraints.json"
+    constraints.write_text(json.dumps({"features": [[0, 1, 2, 3], [1, 0, 1, 0]], "targets": [1.5, 0.5]}))
+    script = (
+        "import sys\n"
+        "from femin import MomentConstraint, check_feasibility\n"
+        "from femin.cli import main\n"
+        "assert main(['maxent', '--constraints', sys.argv[1]]) == 0\n"
+        "report = check_feasibility([MomentConstraint([0, 1, 0], 0.6), MomentConstraint([0, 0, 1], 0.6)])\n"
+        "assert not report.feasible\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, str(constraints)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

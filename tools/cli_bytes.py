@@ -10,8 +10,11 @@ on seeds 0-2 (24 outputs); from K = 8 on, numpy sums a row of K pairwise,
 so it shows which layouts round alike. It also fits the `em_fit` benchmark
 job (5000 points, K = 3), where the M-step's summation order matters most,
 and one observation at K = 9, where the E-step's table is a single column,
-on seeds 0-2 each (6 outputs). All use femin from the `src/` next to this
-file and one BLAS thread. Run it on two checkouts and diff the
+on seeds 0-2 each (6 outputs). The maxent part runs three two-constraint
+inputs: one whose Newton steps gain less than an ulp of the dual near tol,
+a jointly infeasible pair on a triangle and a target on that triangle's
+edge; its lines hash stderr too, after stdout. All use femin from the
+`src/` next to this file and one BLAS thread. Run it on two checkouts and diff the
 results to see which outputs moved:
 
     python tools/cli_bytes.py > after.txt
@@ -108,20 +111,42 @@ def em_runs():
         yield f"gaussian1d k=9 n=1 seed={seed}", em_single_inputs(seed)
 
 
-def em_lines():
+def run_in_tempdir(files, argv):
+    """(exit code, stdout, stderr) of femin.cli.main(argv), run in a new
+    temporary directory that holds `files` (name -> text)."""
     home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for name, text in files.items():
+                Path(name).write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = femin.cli.main(argv)
+        finally:
+            os.chdir(home)
+    return code, out.getvalue(), err.getvalue()
+
+
+def em_lines():
     for name, (model, data) in em_runs():
-        with tempfile.TemporaryDirectory() as workdir:
-            os.chdir(workdir)
-            try:
-                Path("model.json").write_text(json.dumps(model), encoding="utf-8")
-                Path("data.csv").write_text(data, encoding="utf-8")
-                out = io.StringIO()
-                with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                    code = femin.cli.main(["em", "--model", "model.json", "--data", "data.csv"])
-            finally:
-                os.chdir(home)
-        yield f"em {name} {code} {digest(out.getvalue())}"
+        files = {"model.json": json.dumps(model), "data.csv": data}
+        code, out, _ = run_in_tempdir(files, ["em", "--model", "model.json", "--data", "data.csv"])
+        yield f"em {name} {code} {digest(out)}"
+
+
+MAXENT_CASES = (
+    ("ulp-stall", [[0, 1, 2, 3], [1, 0, 1, 0]], [1.2, 0.4]),
+    ("triangle-infeasible", [[0, 1, 0], [0, 0, 1]], [0.6, 0.6]),
+    ("triangle-boundary", [[0, 1, 0], [0, 0, 1]], [0.5, 0.5]),
+)
+
+
+def maxent_lines():
+    for name, features, targets in MAXENT_CASES:
+        files = {"constraints.json": json.dumps({"features": features, "targets": targets})}
+        code, out, err = run_in_tempdir(files, ["maxent", "--constraints", "constraints.json"])
+        yield f"maxent {name} {code} {digest(out)} {digest(err)}"
 
 
 def demo_lines():
@@ -135,7 +160,7 @@ def demo_lines():
 
 
 def main() -> int:
-    for line in (*cli_lines(), *demo_lines(), *em_lines()):
+    for line in (*cli_lines(), *demo_lines(), *em_lines(), *maxent_lines()):
         print(line)
     return 0
 
