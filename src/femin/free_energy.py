@@ -200,7 +200,8 @@ def _closed_form(problem: FreeEnergyProblem):
     Losses are shifted by min L before dividing by T, so T -> 0 gives the
     exact limit on argmin L. A Gibbs j_opt is min L - T log Z; L2 projects
     p - (L - min L)/T, and its j_opt is free_energy's two dot products, in
-    order, so the two agree bitwise."""
+    order, so the two agree bitwise. A j_opt beyond the doubles raises
+    NonFinite."""
     losses, t, kind = problem.loss.losses, problem.temperature, problem.penalty.kind
     low = losses.min()
     with np.errstate(over="ignore"):  # an overflow to inf is a zero weight or a value with no double
@@ -208,12 +209,16 @@ def _closed_form(problem: FreeEnergyProblem):
             prior = problem.penalty.prior.probs
             probs, tau = _project(prior - (losses - low) / t)
             diff = probs - prior
-            return probs, float(probs @ losses) + t * float(0.5 * (diff @ diff)), float(tau - low / t)
-        logits = (low - losses) / t
-        if kind == KL_TO_PRIOR:
-            logits += np.log(problem.penalty.prior.probs)
-        probs, log_z = gibbs(logits)
-        return probs, float(low - t * log_z), None
+            j_opt, tau = float(probs @ losses) + t * float(0.5 * (diff @ diff)), float(tau - low / t)
+        else:
+            logits = (low - losses) / t
+            if kind == KL_TO_PRIOR:
+                logits += np.log(problem.penalty.prior.probs)
+            probs, log_z = gibbs(logits)
+            j_opt, tau = float(low - t * log_z), None
+    if not np.isfinite(j_opt):
+        raise NonFinite(f"j_opt has no double value at T = {t!r}")
+    return probs, j_opt, tau
 
 
 def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
@@ -222,9 +227,8 @@ def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
     is scaled by T: it is J's minimum at the problem's own temperature. A
     j_opt or an L2 tau beyond the doubles raises NonFinite."""
     probs, j_opt, tau = _closed_form(problem)
-    for name, value in (("tau", tau), ("j_opt", j_opt)):
-        if value is not None and not np.isfinite(value):
-            raise NonFinite(f"{name} has no double value at T = {problem.temperature!r}")
+    if tau is not None and not np.isfinite(tau):  # only at a tiny T, where j_opt is finite
+        raise NonFinite(f"tau has no double value at T = {problem.temperature!r}")
     return Solution(FiniteDistribution(probs), j_opt, tau)
 
 
@@ -295,5 +299,6 @@ def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Soluti
 
 def fenchel_young_gap(problem: FreeEnergyProblem, q: FiniteDistribution) -> float:
     """J(q) - J_opt (the Fenchel-Young loss); nonnegative, and zero exactly at
-    the minimizer. J_opt comes without building a second distribution."""
+    the minimizer. J_opt comes without building a second distribution; one
+    beyond the doubles raises NonFinite, as in minimize_closed_form."""
     return free_energy(problem, q) - _closed_form(problem)[1]

@@ -449,6 +449,16 @@ class TestFenchelYoungGap:
                 expected = problem.temperature * kl_divergence(q, q_opt)
                 assert fenchel_young_gap(problem, q) == pytest.approx(expected, abs=1e-9)
 
+    def test_j_opt_beyond_the_doubles_raises(self):
+        # min L - T log Z, log Z near log 3, overflows at T = 1.7e308; J(q) is finite
+        problem = neg_entropy_problem([0.0, 1.0, 2.0], t=1.7e308)
+        q = FiniteDistribution([0.2, 0.3, 0.5])
+        assert np.isfinite(free_energy(problem, q))
+        with pytest.raises(NonFinite, match=r"j_opt has no double value at T = 1\.7e\+308"):
+            minimize_closed_form(problem)
+        with pytest.raises(NonFinite, match=r"j_opt has no double value at T = 1\.7e\+308"):
+            fenchel_young_gap(problem, q)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(KINDS))
