@@ -28,6 +28,8 @@ import numpy as np
 from .errors import Infeasible, NotConverged
 from .simplex import FiniteDistribution, _as_readonly_vector, _check_count, gibbs, log_sum_exp
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class MomentConstraint:
@@ -146,15 +148,21 @@ def _dual_newton(features, targets, tol, max_iter):
             return lam, q, iteration, residual, np.array(dual_trace)
         cov = (features * q) @ features.T - np.outer(mean_f, mean_f)
         eigvals = np.linalg.eigvalsh(cov)
+        current = dual_trace[-1]
+        settled = False
         if eigvals[-1] > 0 and eigvals[0] / eigvals[-1] >= 1e-12:  # well conditioned
             direction = np.linalg.solve(cov, grad)
+            # A full step gains about the Newton decrement grad @ direction / 2
+            # (Boyd & Vandenberghe 9.5). Once that is within the rounding of
+            # the dual, lam @ alpha - log Z, no halving can show a gain.
+            lam_alpha = float(lam @ targets)
+            settled = grad @ direction / 2 <= _EPS * (abs(lam_alpha) + abs(lam_alpha - current))
         else:
             direction = fallback_step * grad
-        current = dual_trace[-1]
         step = 1.0
         for _ in range(60):
             candidate = dual(lam + step * direction)
-            if candidate > current:
+            if candidate > current or settled:
                 break
             step *= 0.5
         else:

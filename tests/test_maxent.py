@@ -166,6 +166,16 @@ class TestSolveMaxent:
                 solve_maxent(constraints, 2, max_iter=bad)
         assert solve_maxent(constraints, 2, max_iter=50.0).iterations == solve_maxent(constraints, 2, max_iter=50).iterations
 
+    def test_newton_step_below_the_dual_rounding_is_taken(self):
+        # The fourth Newton step gains about 1e-16, below one ulp of the dual
+        # (about -1.28), so halving until the dual rises cannot accept it.
+        constraints = [MomentConstraint([0, 1, 2, 3], 1.2), MomentConstraint([1, 0, 1, 0], 0.4)]
+        result = solve_maxent(constraints, 4, tol=1e-8)
+        assert result.iterations == 4
+        assert result.residual <= 1e-15
+        assert np.abs(result.q.probs - [0.28, 0.42, 0.12, 0.18]).max() <= 1e-15
+        assert np.all(np.diff(result.dual_trace) >= -1e-15)
+
     def test_not_converged_reports_diagnostics(self):
         with pytest.raises(NotConverged) as err:
             solve_maxent([MomentConstraint([0.0, 1.0], 0.499)], 2, tol=1e-14, max_iter=1)
