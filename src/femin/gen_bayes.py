@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free_energy import ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
-from .simplex import FiniteDistribution, LossVector, entropy, gibbs, log_sum_exp
+from .simplex import FiniteDistribution, LossVector, _as_readonly_vector, entropy, gibbs, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -23,15 +23,7 @@ class UnnormalizedModel:
     log_tilde_p: np.ndarray
 
     def __post_init__(self):
-        lw = np.array(self.log_tilde_p, dtype=float, copy=True)
-        if lw.ndim != 1 or lw.size < 1:
-            raise ValueError("log_tilde_p must be a nonempty vector")
-        if not np.all(np.isfinite(lw)):
-            raise ValueError(
-                "log_tilde_p must be finite; drop zero-weight symbols from the alphabet"
-            )
-        lw.setflags(write=False)
-        object.__setattr__(self, "log_tilde_p", lw)
+        object.__setattr__(self, "log_tilde_p", _as_readonly_vector(self.log_tilde_p, "log_tilde_p"))
 
     @property
     def alphabet_size(self) -> int:

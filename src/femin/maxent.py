@@ -28,8 +28,6 @@ import numpy as np
 from .errors import Infeasible, NotConverged
 from .simplex import FiniteDistribution, _as_readonly_vector, _check_count, gibbs, log_sum_exp
 
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class MomentConstraint:
@@ -116,11 +114,11 @@ def _raise_if_separating(shifted, candidates, eps):
 
 def _dual_newton(features, targets, tol, max_iter):
     """Damped Newton on the dual from lambda = 0: (lambdas, q, iterations,
-    residual, dual trace) once q meets the moments within tol. Infeasible if
-    lambda separates first (it does once the dual is above 0, which bounds
-    -H(q) <= 0 at any feasible target), or the last step does, or, at that
-    return, either one projected onto the normals of the face of the symbols
-    with q > sqrt(tol), where a boundary target sits."""
+    residual, dual trace) once q meets the moments within tol. Before that,
+    Infeasible if lambda or the last step separates; lambda does once the
+    dual is above 0, as at a feasible target the dual is at most -H(q) <= 0.
+    At that return it also tries both projected onto the normals of the face
+    of the symbols with q > sqrt(tol), where a boundary target sits."""
     m = features.shape[0]
     shifted = features - targets[:, None]
     eps = tol * (1.0 + float(np.abs(features).max()))
@@ -148,21 +146,23 @@ def _dual_newton(features, targets, tol, max_iter):
             return lam, q, iteration, residual, np.array(dual_trace)
         cov = (features * q) @ features.T - np.outer(mean_f, mean_f)
         eigvals = np.linalg.eigvalsh(cov)
+        well_conditioned = eigvals[-1] > 0 and eigvals[0] / eigvals[-1] >= 1e-12
         current = dual_trace[-1]
-        settled = False
-        if eigvals[-1] > 0 and eigvals[0] / eigvals[-1] >= 1e-12:  # well conditioned
+        full_step = False
+        if well_conditioned:
             direction = np.linalg.solve(cov, grad)
             # A full step gains about the Newton decrement grad @ direction / 2
             # (Boyd & Vandenberghe 9.5). Once that is within the rounding of
             # the dual, lam @ alpha - log Z, no halving can show a gain.
             lam_alpha = float(lam @ targets)
-            settled = grad @ direction / 2 <= _EPS * (abs(lam_alpha) + abs(lam_alpha - current))
+            rounding = np.finfo(float).eps * (abs(lam_alpha) + abs(lam_alpha - current))
+            full_step = grad @ direction / 2 <= rounding
         else:
             direction = fallback_step * grad
         step = 1.0
         for _ in range(60):
             candidate = dual(lam + step * direction)
-            if candidate > current or settled:
+            if candidate > current or full_step:
                 break
             step *= 0.5
         else:
@@ -177,18 +177,18 @@ def _dual_newton(features, targets, tol, max_iter):
     raise NotConverged(message, residual=residual, iterations=max_iter)
 
 
-def check_feasibility(constraints, tol: float = 1e-8, max_iter: int = 200) -> FeasibilityReport:
+def check_feasibility(constraints) -> FeasibilityReport:
     """Check that each target is strictly inside its feature's value range,
     and (for two or more constraints) that solve_maxent's loop finds a q > 0
-    meeting all targets within tol, not a certificate (module docstring).
-    Raises NotConverged when it finds neither within max_iter."""
+    meeting all targets within tol = 1e-8, not a certificate (module
+    docstring). Raises NotConverged when it finds neither in 200 iterations."""
     if len(constraints) == 0:
         return FeasibilityReport((), True, ())
     features, targets = _stack_features(constraints)
     report = _interval_report(features, targets)
     if report.feasible and len(constraints) > 1:
         try:
-            _dual_newton(features, targets, tol, _check_count(max_iter, "max_iter", 0))
+            _dual_newton(features, targets, 1e-8, 200)
         except Infeasible as err:
             return err.report
     return report

@@ -215,5 +215,14 @@ def coverage_experiment(
             n_violations += 1
         gap_total += gap
         bound_total += bound
-    mean_gap, mean_bound = gap_total / trials, bound_total / trials
-    return CoverageReport(n_violations / trials, mean_gap, mean_bound, n_violations, trials, seed, beta, m, delta)
+    return CoverageReport(
+        violation_rate=n_violations / trials,
+        mean_gap=gap_total / trials,
+        mean_bound=bound_total / trials,
+        n_violations=n_violations,
+        trials=trials,
+        seed=seed,
+        beta=beta,
+        m=m,
+        delta=delta,
+    )
