@@ -262,12 +262,17 @@ def _grid_points(total: int, parts: int) -> np.ndarray:
 
 
 def _penalty_values_on_grid(penalty: ComplexityPenalty, grid: np.ndarray) -> np.ndarray:
-    if penalty.kind == HALF_SQ_L2:
-        diff = grid - penalty.prior.probs
-        return 0.5 * (diff * diff).sum(axis=1)
-    prior = 1.0 if penalty.kind == NEG_ENTROPY else penalty.prior.probs  # -H(q) is KL to all ones
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(grid > 0, grid * np.log(grid / prior), 0.0).sum(axis=1)
+    if penalty.kind == NEG_ENTROPY:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(grid > 0, grid * np.log(grid), 0.0)
+        return terms.sum(axis=1)
+    if penalty.kind == KL_TO_PRIOR:
+        prior = penalty.prior.probs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(grid > 0, grid * np.log(grid / prior), 0.0)
+        return terms.sum(axis=1)
+    diff = grid - penalty.prior.probs
+    return 0.5 * (diff * diff).sum(axis=1)
 
 
 def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Solution:

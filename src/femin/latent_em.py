@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComponentWarning, EmptyData
-from .simplex import FiniteDistribution, _check_count, _symbol_indices, gibbs
+from .simplex import FiniteDistribution, _as_readonly_vector, _check_count, _symbol_indices, gibbs
 
 CATEGORICAL = "categorical"
 GAUSSIAN1D = "gaussian1d"
@@ -56,16 +56,12 @@ class MixtureModel:
         elif self.kind == GAUSSIAN1D:
             if self.means is None or self.variances is None or self.emissions is not None:
                 raise ValueError("gaussian1d mixtures take means and variances only")
-            means = np.array(self.means, dtype=float, copy=True)
-            variances = np.array(self.variances, dtype=float, copy=True)
+            means = _as_readonly_vector(self.means, "means")
+            variances = _as_readonly_vector(self.variances, "variances")
             if means.shape != (k,) or variances.shape != (k,):
                 raise ValueError(f"means and variances must have shape ({k},)")
-            if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
-                raise ValueError("means and variances must be finite")
             if np.any(variances < VARIANCE_FLOOR):
                 raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")
-            means.setflags(write=False)
-            variances.setflags(write=False)
             object.__setattr__(self, "means", means)
             object.__setattr__(self, "variances", variances)
         else:
