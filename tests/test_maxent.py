@@ -183,9 +183,9 @@ class TestSolveMaxent:
         assert err.value.residual is not None
 
 
-def assert_certificate(err, features, targets, tol=1e-8):
+def assert_certificate(report, features, targets, tol=1e-8):
     """The Infeasible certificate test, computed here from its documented form."""
-    d = np.asarray(err.report.certificate)
+    d = np.asarray(report.certificate)
     assert d.shape == (len(targets),)
     assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
     g = d @ (np.asarray(features, dtype=float) - np.asarray(targets, dtype=float)[:, None])
@@ -262,7 +262,7 @@ class TestJointFeasibilityAgainstLP:
                     continue  # within 1e-6 of the hull: the band where either answer may come
                 with pytest.raises(Infeasible) as err:
                     solve_maxent(constraints, n)
-                assert_certificate(err.value, features, targets)
+                assert_certificate(err.value.report, features, targets)
                 report = check_feasibility(constraints)
                 assert not report.feasible and report.certificate is not None
                 seen["infeasible"] += 1
@@ -270,7 +270,7 @@ class TestJointFeasibilityAgainstLP:
                 with pytest.raises((Infeasible, NotConverged)) as err:
                     solve_maxent(constraints, n)
                 if isinstance(err.value, Infeasible):
-                    assert_certificate(err.value, features, targets)
+                    assert_certificate(err.value.report, features, targets)
                 seen["boundary"] += 1
         assert min(seen.values()) >= 60, seen
 
@@ -287,16 +287,16 @@ class TestCertificates:
             solve_maxent(self.constraints([0.6, 0.6]), 3)
         assert "violated constraints: []" in str(err.value)
         assert err.value.report.violated == ()
-        assert_certificate(err.value, np.array(self.triangle), [0.6, 0.6])
+        assert_certificate(err.value.report, np.array(self.triangle), [0.6, 0.6])
         report = check_feasibility(self.constraints([0.6, 0.6]))
         assert not report.jointly_feasible and report.marginal_ok == (True, True)
-        assert_certificate(Infeasible("", report), np.array(self.triangle), [0.6, 0.6])
+        assert_certificate(report, np.array(self.triangle), [0.6, 0.6])
 
     def test_boundary_target_is_never_solved(self):
         with pytest.raises((Infeasible, NotConverged)) as err:
             solve_maxent(self.constraints([0.5, 0.5]), 3)
         if isinstance(err.value, Infeasible):
-            assert_certificate(err.value, np.array(self.triangle), [0.5, 0.5])
+            assert_certificate(err.value.report, np.array(self.triangle), [0.5, 0.5])
             assert np.allclose(err.value.report.certificate, [0.5**0.5, 0.5**0.5])
 
     def test_interval_failures_carry_a_unit_vector(self):
