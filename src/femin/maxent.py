@@ -9,8 +9,10 @@ concave dual
 with damped Newton steps. The optimizer is the exponential-family member
 q(x) proportional to exp(sum_k lambda_k f_k(x)).
 
-The same loop decides feasibility, with a certificate either way. Feasible:
-the returned q > 0 meets every moment within tol. Infeasible: a unit d with
+One constraint is feasible exactly when its target is strictly inside the
+feature's range. For more, the same loop decides joint feasibility, with a
+certificate either way. Feasible: the returned q > 0 meets every moment
+within tol. Infeasible: a unit d with
 
     max_x d @ (f(x) - alpha) <= eps  and  min_x d @ (f(x) - alpha) < -eps,
 
@@ -93,10 +95,8 @@ def _interval_report(features, targets) -> FeasibilityReport:
 
 
 def _infeasible(report: FeasibilityReport) -> Infeasible:
-    return Infeasible(
-        f"targets not strictly inside the feasible hull (violated constraints: {list(report.violated)})",
-        report=report,
-    )
+    message = f"targets not strictly inside the feasible hull (violated constraints: {list(report.violated)})"
+    return Infeasible(message, report=report)
 
 
 def _raise_if_separating(shifted, candidates, eps):
@@ -115,10 +115,11 @@ def _raise_if_separating(shifted, candidates, eps):
 def _dual_newton(features, targets, tol, max_iter):
     """Damped Newton on the dual from lambda = 0: (lambdas, q, iterations,
     residual, dual trace) once q meets the moments within tol. Before that,
-    Infeasible if lambda or the last step separates; lambda does once the
-    dual is above 0, as at a feasible target the dual is at most -H(q) <= 0.
-    At that return it also tries both projected onto the normals of the face
-    of the symbols with q > sqrt(tol), where a boundary target sits."""
+    for two or more constraints, Infeasible if lambda or the last step
+    separates; lambda does once the dual is above 0, as at a feasible target
+    the dual is at most -H(q) <= 0. At that return it also tries both
+    projected onto the normals of the face of the symbols with
+    q > sqrt(tol), where a boundary target sits."""
     m = features.shape[0]
     shifted = features - targets[:, None]
     eps = tol * (1.0 + float(np.abs(features).max()))
@@ -136,12 +137,13 @@ def _dual_newton(features, targets, tol, max_iter):
         mean_f = features @ q
         grad = targets - mean_f
         residual = float(np.abs(grad).max())
-        candidates = [lam, direction]
-        if residual <= tol:
-            u, s, _ = np.linalg.svd(shifted[:, q > np.sqrt(tol)])
-            off_face = u[:, int((s > 1e-9 * s.max(initial=0.0)).sum()) :]
-            candidates += [off_face @ (off_face.T @ c) for c in candidates]
-        _raise_if_separating(shifted, candidates, eps)
+        if m > 1:  # for one constraint the interval check was exact
+            candidates = [lam, direction]
+            if residual <= tol:
+                u, s, _ = np.linalg.svd(shifted[:, q > np.sqrt(tol)])
+                off_face = u[:, int((s > 1e-9 * s.max(initial=0.0)).sum()) :]
+                candidates += [off_face @ (off_face.T @ c) for c in candidates]
+            _raise_if_separating(shifted, candidates, eps)
         if residual <= tol:
             return lam, q, iteration, residual, np.array(dual_trace)
         cov = (features * q) @ features.T - np.outer(mean_f, mean_f)

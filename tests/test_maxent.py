@@ -308,6 +308,13 @@ class TestCertificates:
                 solve_maxent(constraints, 3)
             assert err.value.report == report
 
+    def test_one_constraint_near_an_end_still_solves(self):
+        # the interval check is exact for one constraint, so no band applies
+        for target in (1e-9, 1.0 - 1e-9):
+            result = solve_maxent([MomentConstraint([0.0, 1.0], target)], 2)
+            assert abs(result.q.probs[1] - target) <= 1e-8
+            assert check_feasibility([MomentConstraint([0.0, 1.0], target)]).certificate is None
+
     def test_feasible_report_has_no_certificate(self):
         report = check_feasibility(self.constraints([0.2, 0.3]))
         assert report.feasible and report.certificate is None
