@@ -13,8 +13,13 @@ and one observation at K = 9, where the E-step's table is a single column,
 on seeds 0-2 each (6 outputs). The maxent part runs three two-constraint
 inputs: one whose Newton steps gain less than an ulp of the dual near tol,
 a jointly infeasible pair on a triangle and a target on that triangle's
-edge; its lines hash stderr too, after stdout. All use femin from the
-`src/` next to this file and one BLAS thread. Run it on two checkouts and diff the
+edge; its lines hash stderr too, after stdout. The limit part runs three
+step sizes or inverse temperatures near the largest double: a
+multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
+`pacbayes` at beta = 1e308 with losses in [2, 3]; its lines hash stdout and
+stderr. Warnings are printed as `<category>: <message>`, without the file
+and line that raised them, so stderr hashes compare across checkouts. All
+use femin from the `src/` next to this file and one BLAS thread. Run it on two checkouts and diff the
 results to see which outputs moved:
 
     python tools/cli_bytes.py > after.txt
@@ -32,6 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -111,6 +117,10 @@ def em_runs():
         yield f"gaussian1d k=9 n=1 seed={seed}", em_single_inputs(seed)
 
 
+def show_warning(message, category, *_):
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
 def run_in_tempdir(files, argv):
     """(exit code, stdout, stderr) of femin.cli.main(argv), run in a new
     temporary directory that holds `files` (name -> text)."""
@@ -121,7 +131,9 @@ def run_in_tempdir(files, argv):
             for name, text in files.items():
                 Path(name).write_text(text, encoding="utf-8")
             out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("default")
+                warnings.showwarning = show_warning
                 code = femin.cli.main(argv)
         finally:
             os.chdir(home)
@@ -149,6 +161,32 @@ def maxent_lines():
         yield f"maxent {name} {code} {digest(out)} {digest(err)}"
 
 
+PACBAYES_HIGH_LOSS = {
+    "loss_table": [[2.0, 3.0, 2.5], [2.2, 2.4, 2.9], [3.0, 2.0, 2.1]],
+    "a": 2.0,
+    "b": 3.0,
+    "prior": [0.5, 0.3, 0.2],
+    "data_model": [0.2, 0.5, 0.3],
+}
+MIRROR = ["mirror", "--oracle", "linear"]
+LIMIT_CASES = (
+    ("mirror-neg-1e300", {}, [*MIRROR, "--l=1,2,1", "--x0", "0.2,0.3,0.5", "--method", "neg", "--alpha", "1e300"]),
+    ("mirror-neg-1e308", {}, [*MIRROR, "--l=1,2,1", "--x0", "0.2,0.3,0.5", "--method", "neg", "--alpha", "1e308"]),
+    ("mirror-euclidean-1e300", {}, [*MIRROR, "--l=-1,0,-1", "--method", "euclidean", "--alpha", "1e300"]),
+    (
+        "pacbayes-1e308",
+        {"problem.json": json.dumps(PACBAYES_HIGH_LOSS)},
+        ["pacbayes", "--problem", "problem.json", "--beta", "1e308", "--m", "10", "--delta", "0.05", "--trials", "100"],
+    ),
+)
+
+
+def limit_lines():
+    for name, files, argv in LIMIT_CASES:
+        code, out, err = run_in_tempdir(files, argv)
+        yield f"limit {name} {code} {digest(out)} {digest(err)}"
+
+
 def demo_lines():
     env = {**os.environ, **THREADS, "PYTHONPATH": str(ROOT / "src")}
     for path in sorted((ROOT / "demos").glob("*.py")):
@@ -160,7 +198,7 @@ def demo_lines():
 
 
 def main() -> int:
-    for line in (*cli_lines(), *demo_lines(), *em_lines(), *maxent_lines()):
+    for line in (*cli_lines(), *demo_lines(), *em_lines(), *maxent_lines(), *limit_lines()):
         print(line)
     return 0
 
