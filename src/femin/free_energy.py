@@ -195,27 +195,37 @@ def solve_tau(p: FiniteDistribution, l: LossVector, temperature: float) -> float
     return minimize_closed_form(FreeEnergyProblem(l, temperature, ComplexityPenalty(HALF_SQ_L2, p))).tau
 
 
+def _tilt(kind: str, base, losses: np.ndarray, t: float):
+    """link(base - (losses - min L)/t), the tilt of every closed form, mirror
+    step and Gibbs posterior: gibbs's (probs, log Z) for the Gibbs kinds
+    (base log p for kl, None for neg_entropy), _project's (probs, tau) for
+    L2 (base p). Shifted by min L, so t -> 0 is exact; an overflow is a
+    zero weight."""
+    with np.errstate(over="ignore"):
+        logits = (losses.min() - losses) / t
+        if kind == HALF_SQ_L2:
+            return _project(base + logits)
+        if base is not None:
+            logits += base
+        return gibbs(logits)
+
+
 def _closed_form(problem: FreeEnergyProblem):
     """(probs, j_opt, tau) of the minimizer; tau is None for the Gibbs kinds.
-    Losses are shifted by min L before dividing by T, so T -> 0 gives the
-    exact limit on argmin L. A Gibbs j_opt is min L - T log Z; L2 projects
-    p - (L - min L)/T, and its j_opt is free_energy's two dot products, in
-    order, so the two agree bitwise. A j_opt beyond the doubles raises
-    NonFinite."""
+    The tilt is shifted by min L; a Gibbs j_opt is min L - T log Z, and L2's
+    is free_energy's two dot products, in order, so the two agree bitwise.
+    A j_opt beyond the doubles raises NonFinite."""
     losses, t, kind = problem.loss.losses, problem.temperature, problem.penalty.kind
-    low = losses.min()
-    with np.errstate(over="ignore"):  # an overflow to inf is a zero weight or a value with no double
-        if kind == HALF_SQ_L2:
-            prior = problem.penalty.prior.probs
-            probs, tau = _project(prior - (losses - low) / t)
-            diff = probs - prior
-            j_opt, tau = float(probs @ losses) + t * float(0.5 * (diff @ diff)), float(tau - low / t)
-        else:
-            logits = (low - losses) / t
-            if kind == KL_TO_PRIOR:
-                logits += np.log(problem.penalty.prior.probs)
-            probs, log_z = gibbs(logits)
-            j_opt, tau = float(low - t * log_z), None
+    low = float(losses.min())
+    if kind == HALF_SQ_L2:
+        prior = problem.penalty.prior.probs
+        probs, tau = _tilt(kind, prior, losses, t)
+        diff = probs - prior
+        j_opt, tau = float(probs @ losses) + t * float(0.5 * (diff @ diff)), tau - low / t
+    else:
+        base = np.log(problem.penalty.prior.probs) if kind == KL_TO_PRIOR else None
+        probs, log_z = _tilt(kind, base, losses, t)
+        j_opt, tau = low - t * float(log_z), None
     if not np.isfinite(j_opt):
         raise NonFinite(f"j_opt has no double value at T = {t!r}")
     return probs, j_opt, tau

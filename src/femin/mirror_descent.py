@@ -6,8 +6,9 @@ method is fair), and the normalized exponentiated gradient update
 
     q'(x) proportional to q(x) * exp(-alpha * grad_x),
 
-which is the KL-penalized free-energy minimizer with loss = grad and
-T = 1/alpha, i.e. mirror descent in the KL geometry.
+i.e. mirror descent in the KL geometry. Both steps are the closed forms'
+tilt (kl or half_sq_l2) based at the iterate, with loss = grad and
+T = 1/alpha, so any finite alpha gives the exact step.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import FlooringWarning, NonFinite, ZeroCoordinate
-from .free_energy import _project
-from .simplex import FiniteDistribution, _check_count, gibbs
+from .free_energy import HALF_SQ_L2, KL_TO_PRIOR, _project, _tilt
+from .simplex import FiniteDistribution, _check_count
 
 # Smallest iterate coordinate for the multiplicative method.
 PROB_FLOOR = 1e-300
@@ -118,15 +119,15 @@ def project_to_simplex(v) -> FiniteDistribution:
 def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
     """Normalized exponentiated gradient update, computed in log space.
 
-    Coincides with the KL-penalized closed-form minimizer at prior q,
-    loss grad, and temperature 1/alpha.
+    Bit for bit the KL-penalized closed-form minimizer at prior q, loss
+    grad, and temperature 1/alpha.
     """
     if np.any(q.probs <= 0):
         raise ZeroCoordinate("multiplicative updates need a strictly positive iterate")
     grad = np.asarray(grad, dtype=float)
     if grad.shape != q.probs.shape:
         raise ValueError(f"grad has shape {grad.shape}, expected {q.probs.shape}")
-    return FiniteDistribution(gibbs(np.log(q.probs) - float(alpha) * grad)[0])
+    return FiniteDistribution(_tilt(KL_TO_PRIOR, np.log(q.probs), grad, 1.0 / float(alpha))[0])
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,8 @@ def run_descent(
     def advance(x: np.ndarray, g, alpha: float) -> np.ndarray:
         nonlocal floored
         if method == "euclidean":
-            return _project(x - alpha * g)[0]
-        probs = gibbs(np.log(x) - alpha * g)[0]
+            return _tilt(HALF_SQ_L2, x, g, 1.0 / alpha)[0]
+        probs = _tilt(KL_TO_PRIOR, np.log(x), g, 1.0 / alpha)[0]
         if np.any(probs < PROB_FLOOR):
             floored = True
             probs = np.maximum(probs, PROB_FLOOR)

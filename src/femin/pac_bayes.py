@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import EmptyTrainingSet, NonPositivePrior
-from .simplex import SUPPORT_EPS, FiniteDistribution, gibbs, kl_divergence, log_sum_exp
+from .free_energy import KL_TO_PRIOR, _tilt
+from .simplex import SUPPORT_EPS, FiniteDistribution, kl_divergence, log_sum_exp
 from .simplex import _check_count, _kl, _symbol_indices
 
 
@@ -124,11 +125,12 @@ def test_losses(problem: LearningProblem) -> np.ndarray:
 
 def gibbs_posterior(problem: LearningProblem, s, beta: float) -> FiniteDistribution:
     """Minimizer of E_q[train loss] + (1/beta) KL(q || prior):
-    q(x) proportional to prior(x) exp(-beta * train_loss(x)), the kl closed
-    form of minimize_closed_form at T = 1/beta."""
+    q(x) proportional to prior(x) exp(-beta * train_loss(x)), bit for bit
+    the kl closed form of minimize_closed_form at T = 1/beta, so a beta near
+    the largest double gives the prior restricted to the argmin."""
     beta = _check_beta(beta)
     train = training_losses(problem, s)
-    return FiniteDistribution(gibbs(-train / (1.0 / beta) + np.log(problem.prior.probs))[0])
+    return FiniteDistribution(_tilt(KL_TO_PRIOR, np.log(problem.prior.probs), train, 1.0 / beta)[0])
 
 
 def dv_check(problem: LearningProblem, q: FiniteDistribution, s, beta: float):
@@ -208,7 +210,7 @@ def coverage_experiment(
         rng = np.random.default_rng((seed, trial))
         s = rng.choice(problem.n_outcomes, size=m, p=problem.data_model.probs)
         train = problem.loss_table[:, s].mean(axis=1)
-        q = gibbs(-train / t + log_prior)[0]
+        q = _tilt(KL_TO_PRIOR, log_prior, train, t)[0]
         gap = float(q @ (test_vec - train))
         bound = _bound(_kl(q, problem.prior.probs), m, delta, problem.a, problem.b)
         if gap > bound:

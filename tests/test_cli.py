@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -221,6 +222,49 @@ class TestSubcommands:
         assert len(rows) == 6
         q0_final = float(rows[-1][3])
         assert q0_final == pytest.approx(1.0 / (1.0 + math.exp(-5.0)), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", ["1e300", "1e308"])
+    def test_mirror_neg_step_near_the_largest_double(self, alpha):
+        # the step is the kl closed form at T = 1/alpha: the prior [0.2, 0.5] on argmin l
+        result = run_cli(
+            "mirror", "--oracle", "linear", "--l=1,2,1", "--x0", "0.2,0.3,0.5", "--method", "neg", "--alpha", alpha
+        )
+        assert result.returncode == 0, result.stderr
+        assert re.findall(r"\w+Warning", result.stderr) == ["FlooringWarning"]
+        first = [float(v) for v in result.stdout.splitlines()[3].split(",")[3:]]
+        assert first[1] == 1e-300
+        assert np.allclose([first[0], first[2]], [2.0 / 7.0, 5.0 / 7.0], rtol=1e-15, atol=0.0)
+
+    def test_mirror_euclidean_step_near_the_largest_double(self):
+        result = run_cli("mirror", "--oracle", "linear", "--l=-1,0,-1", "--method", "euclidean", "--alpha", "1e300")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[3].split(",")[3:] == ["0.5", "0", "0.5"]
+
+    def test_pacbayes_near_the_largest_double(self, tmp_path):
+        problem = write_json(
+            tmp_path / "p.json",
+            {
+                "loss_table": [[2.0, 3.0, 2.5], [2.2, 2.4, 2.9], [3.0, 2.0, 2.1]],
+                "a": 2.0,
+                "b": 3.0,
+                "prior": [0.5, 0.3, 0.2],
+                "data_model": [0.2, 0.5, 0.3],
+            },
+        )
+        reports = []
+        for beta in ("1e308", "1e306"):
+            result = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "femin", "pacbayes", "--problem", problem, "--beta", beta,
+                 "--m", "10", "--delta", "0.05", "--trials", "100"],
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0 and result.stderr == "", result.stderr
+            reports.append(json.loads(result.stdout)["report"])
+        assert reports[0]["beta"] == 1e308
+        reports[0]["beta"] = 1e306
+        assert reports[0] == reports[1]
 
     def test_figure1_csv_round_trip(self, tmp_path):
         out = tmp_path / "figure.csv"

@@ -50,16 +50,16 @@ class TestNegStep:
             assert total_variation(stepped, minimize_closed_form(fe).q_opt) <= 1e-12
 
     def test_entrywise_equal_to_kl_closed_form(self):
-        # both run through the same Gibbs kernel; only 1/alpha is rounded
+        # a step is the kl tilt at T = 1/alpha, bit for bit, up to the largest alphas
         rng = np.random.default_rng(43)
         for _ in range(200):
             n = int(rng.integers(2, 9))
             q = FiniteDistribution(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
             grad = rng.normal(scale=2.0, size=n)
-            alpha = float(rng.uniform(0.1, 3.0))
-            fe = FreeEnergyProblem(LossVector(grad), 1.0 / alpha, ComplexityPenalty.kl_to_prior(q))
-            closed = minimize_closed_form(fe).q_opt.probs
-            assert np.abs(neg_step(q, grad, alpha).probs - closed).max() <= 1e-15
+            for alpha in (float(rng.uniform(0.1, 3.0)), 1e300, 1e308):
+                fe = FreeEnergyProblem(LossVector(grad), 1.0 / alpha, ComplexityPenalty.kl_to_prior(q))
+                closed = minimize_closed_form(fe).q_opt.probs
+                assert np.array_equal(neg_step(q, grad, alpha).probs, closed)
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ZeroCoordinate):
@@ -260,14 +260,17 @@ class TestRunDescent:
         assert np.allclose([point.probs[0] for point in trace.iterates], trace.values, atol=0.0)
 
 
-def dataclass_run_descent(oracle, x0, method, step_size, schedule, max_iter, tol):
-    """Reference loop: a FiniteDistribution per candidate (flooring warning left out)."""
+def dataclass_run_descent(oracle, x0, method, step_size, schedule, max_iter, tol, shifted=True):
+    """Reference loop: a FiniteDistribution per candidate (flooring warning left out).
+    A step is the tilt at T = 1/alpha, base + (min g - g)/T; with shifted=False
+    it is base - alpha * g, the unshifted arithmetic of earlier versions."""
 
     def advance(point, g, alpha):
+        step = (g.min() - g) / (1.0 / alpha) if shifted else -alpha * g
         if method == "euclidean":
-            v = point.probs - alpha * g
+            v = point.probs + step
             return FiniteDistribution.normalized(np.clip(v - _projection_pivot(v), 0.0, None))
-        probs = gibbs(np.log(point.probs) - alpha * g)[0]
+        probs = gibbs(np.log(point.probs) + step)[0]
         return FiniteDistribution.normalized(np.maximum(probs, 1e-300))
 
     current = x0
@@ -299,7 +302,8 @@ def dataclass_run_descent(oracle, x0, method, step_size, schedule, max_iter, tol
 
 class TestArrayLoopDescent:
     """run_descent keeps its iterates as arrays; it must reproduce the
-    dataclass loop bit for bit."""
+    dataclass loop bit for bit, and the unshifted steps of earlier versions
+    to 1e-12 with as many iterations."""
 
     ORACLES = [
         ("linear", ([0.3, -0.2, 0.8, 0.1, 1.0],)),
@@ -326,6 +330,12 @@ class TestArrayLoopDescent:
                     assert np.array_equal(ours.probs, ref.probs)
                 assert np.array_equal(trace.values, values)
                 assert np.array_equal(trace.step_sizes, step_sizes)
+                unshifted = dataclass_run_descent(
+                    oracle, x0, method, step_size, schedule, max_iter=150, tol=1e-13, shifted=False
+                )[0]
+                assert len(unshifted) == len(iterates)
+                for ours, ref in zip(trace.iterates, unshifted):
+                    assert np.abs(ours.probs - ref.probs).max() <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,6 +13,7 @@ from femin import (
     coverage_experiment,
     dv_check,
     free_energy,
+    generalized_posterior,
     gibbs_posterior,
     kl_divergence,
     pac_bayes_bound,
@@ -136,6 +137,16 @@ class TestGibbsPosterior:
             )
             oracle = brute_force_minimize(fe, step)
             assert free_energy(fe, post) <= oracle.j_opt + 1e-6
+
+    def test_bitwise_equal_to_generalized_posterior(self):
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            problem = small_problem(rng, n_h=int(rng.integers(2, 9)), a=2.0, b=3.0)
+            s = rng.integers(0, problem.n_outcomes, size=int(rng.integers(1, 20)))
+            train = LossVector(training_losses(problem, s))
+            for beta in (float(rng.uniform(0.1, 30.0)), 1e306, 1e308):
+                expected = generalized_posterior(problem.prior, train, 1.0 / beta)
+                assert np.array_equal(gibbs_posterior(problem, s, beta).probs, expected.probs)
 
     def test_loss_shift_leaves_posterior_unchanged(self):
         rng = np.random.default_rng(25)
