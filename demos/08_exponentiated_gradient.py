@@ -3,7 +3,7 @@
 The multiplicative update q'(x) ~ q(x) exp(-alpha * grad_x) is the
 KL-penalized one-step minimizer (temperature 1/alpha) and never leaves the
 simplex; the Euclidean alternative steps in the ambient space and projects
-back through the sorted-pivot routine.
+back through the pivot routine.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ trace = run_descent(oracle, FiniteDistribution.uniform(2), method="neg", step_si
 print("\nlinear objective, multiplicative updates from uniform:")
 for i, point in enumerate(trace.iterates):
     predicted = 1.0 / (1.0 + np.exp(-i))
-    print(f"  i={i}: q(1)={point.probs[0]:.8f}  closed-form {predicted:.8f}")
+    print(f"  i={i}: q(1)={point[0]:.8f}  closed-form {predicted:.8f}")
 
 # strongly convex objective with a known interior optimum
 target = np.array([0.6, 0.3, 0.1])
@@ -30,6 +30,6 @@ for method in ("neg", "euclidean"):
     trace = run_descent(
         oracle, FiniteDistribution.uniform(3), method=method, step_size=0.5, max_iter=200, tol=0.0
     )
-    errs = [np.abs(p.probs - target).max() for p in trace.iterates]
+    errs = np.abs(trace.iterates - target).max(axis=1)
     shown = {k: f"{errs[min(k, len(errs) - 1)]:.2e}" for k in (0, 10, 50, 200)}
     print(f"  {method:>9}: {shown}")

@@ -264,7 +264,7 @@ def cmd_mirror(args) -> None:
     rows = []
     for i, (point, value) in enumerate(zip(trace.iterates, trace.values)):
         step = float(trace.step_sizes[i - 1]) if i > 0 else 0.0
-        rows.append([i, float(value), step] + [float(v) for v in point.probs])
+        rows.append([i, float(value), step] + point.tolist())
     _emit_csv(header, rows, args)
 
 

@@ -132,7 +132,7 @@ def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
 
 @dataclass(frozen=True)
 class DescentTrace:
-    iterates: tuple  # FiniteDistribution per accepted iterate, x0 first
+    iterates: np.ndarray  # read-only (k, n), one row per accepted iterate, x0 first
     values: np.ndarray
     step_sizes: np.ndarray  # one per accepted step
 
@@ -155,7 +155,8 @@ def run_descent(
     decrease; if the candidate left after 30 halvings raises the value, it
     is rejected and the descent stops. A candidate that fails to move the
     value by tol is discarded, so a start at a stationary point leaves a
-    trace of length 1. Iterates are arrays until the trace is built.
+    trace of length 1. The iterates are on the simplex by construction and
+    are returned as one read-only array, not checked again.
     """
     if method not in ("neg", "euclidean"):
         raise ValueError(f"method must be 'neg' or 'euclidean', got {method!r}")
@@ -188,7 +189,9 @@ def run_descent(
         return probs / probs.sum()
 
     def result() -> DescentTrace:
-        return DescentTrace(tuple(map(FiniteDistribution, iterates)), np.array(values), np.array(step_sizes))
+        points = np.array(iterates)
+        points.setflags(write=False)
+        return DescentTrace(points, np.array(values), np.array(step_sizes))
 
     for iteration in range(1, max_iter + 1):
         alpha = step_size / np.sqrt(iteration) if schedule == "inv_sqrt" else step_size

@@ -250,9 +250,9 @@ def test_criterion_09_mirror_descent():
         oracle, fm.FiniteDistribution.uniform(2), method="neg", step_size=1.0, max_iter=25, tol=0.0
     )
     for i, point in enumerate(trace.iterates):
-        assert abs(point.probs[0] - 1.0 / (1.0 + math.exp(-i))) <= 1e-9
-        assert abs(point.probs.sum() - 1.0) <= 1e-9
-        assert np.all(point.probs >= 0)
+        assert abs(point[0] - 1.0 / (1.0 + math.exp(-i))) <= 1e-9
+        assert abs(point.sum() - 1.0) <= 1e-9
+        assert np.all(point >= 0)
     report(9, "one-step bridge to the KL closed form at 1e-12; linear recursion exact to 1e-9; iterates on-simplex")
 
 

@@ -111,7 +111,7 @@ class TestRunDescent:
         )
         assert len(trace.iterates) == 31
         for i, point in enumerate(trace.iterates):
-            assert point.probs[0] == pytest.approx(1.0 / (1.0 + np.exp(-i)), abs=1e-9)
+            assert point[0] == pytest.approx(1.0 / (1.0 + np.exp(-i)), abs=1e-9)
         assert np.all(np.diff(trace.values) < 0)
 
     def test_both_methods_reach_interior_quadratic_optimum(self):
@@ -126,7 +126,7 @@ class TestRunDescent:
                 max_iter=10_000,
                 tol=1e-16,
             )
-            assert np.abs(trace.iterates[-1].probs - target).max() <= 1e-6
+            assert np.abs(trace.iterates[-1] - target).max() <= 1e-6
 
     def test_backtracking_evaluates_each_point_once(self):
         quadratic = make_oracle("quadratic-to-target", [0.6, 0.3, 0.1])
@@ -157,8 +157,8 @@ class TestRunDescent:
             oracle, FiniteDistribution.uniform(3), method="neg", step_size=0.5, max_iter=200, tol=0.0
         )
         for point in trace.iterates:
-            assert abs(point.probs.sum() - 1.0) <= 1e-9
-            assert np.all(point.probs > 0)
+            assert abs(point.sum() - 1.0) <= 1e-9
+            assert np.all(point > 0)
 
     def test_descent_property_at_safe_step(self):
         # quadratic has gradient Lipschitz constant 1; alpha = 1 is safe
@@ -182,7 +182,7 @@ class TestRunDescent:
                 tol=1e-14,
             )
             assert trace.values[-1] <= trace.values[0]
-            assert np.abs(trace.iterates[-1].probs - 0.5).max() <= 1e-4
+            assert np.abs(trace.iterates[-1] - 0.5).max() <= 1e-4
 
     def test_inv_sqrt_steps_recorded(self):
         oracle = make_oracle("linear", [0.0, 1.0])
@@ -208,7 +208,7 @@ class TestRunDescent:
                 max_iter=800,
                 tol=0.0,
             )
-        assert np.all(trace.iterates[-1].probs > 0)
+        assert np.all(trace.iterates[-1] > 0)
 
     def test_zero_start_rejected_for_neg(self):
         oracle = make_oracle("linear", [0.0, 1.0])
@@ -256,8 +256,8 @@ class TestRunDescent:
             run_descent(oracle, FiniteDistribution([0.5, 0.5]), step_size=0.1, max_iter=50, tol=0.0)
         trace = err.value.trace
         assert len(trace.iterates) == trace.values.size == trace.step_sizes.size + 1 >= 2
-        assert all(isinstance(point, FiniteDistribution) for point in trace.iterates)
-        assert np.allclose([point.probs[0] for point in trace.iterates], trace.values, atol=0.0)
+        assert np.all(trace.iterates >= 0) and np.allclose(trace.iterates.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(trace.iterates[:, 0], trace.values, atol=0.0)
 
 
 def dataclass_run_descent(oracle, x0, method, step_size, schedule, max_iter, tol, shifted=True):
@@ -326,16 +326,14 @@ class TestArrayLoopDescent:
                     oracle, x0, method, step_size, schedule, max_iter=150, tol=1e-13
                 )
                 assert len(trace.iterates) == len(iterates)
-                for ours, ref in zip(trace.iterates, iterates):
-                    assert np.array_equal(ours.probs, ref.probs)
+                assert np.array_equal(trace.iterates, [ref.probs for ref in iterates])
                 assert np.array_equal(trace.values, values)
                 assert np.array_equal(trace.step_sizes, step_sizes)
                 unshifted = dataclass_run_descent(
                     oracle, x0, method, step_size, schedule, max_iter=150, tol=1e-13, shifted=False
                 )[0]
                 assert len(unshifted) == len(iterates)
-                for ours, ref in zip(trace.iterates, unshifted):
-                    assert np.abs(ours.probs - ref.probs).max() <= 1e-12
+                assert np.abs(trace.iterates - [ref.probs for ref in unshifted]).max() <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)

@@ -63,10 +63,11 @@ def test_fit_dv_builds_do_not_grow(builds):
 
 @pytest.mark.parametrize("schedule", ["constant", "backtracking"])
 @pytest.mark.parametrize("method", ["neg", "euclidean"])
-def test_run_descent_builds_one_distribution_per_iterate(builds, method, schedule):
+def test_run_descent_builds_no_distribution(builds, method, schedule):
     oracle = make_oracle("quadratic-to-target", [0.5, 0.3, 0.2])
     x0 = FiniteDistribution([0.1, 0.2, 0.7])
     builds.clear()
     trace = run_descent(oracle, x0, method=method, step_size=2.0, schedule=schedule, max_iter=40, tol=0.0)
-    assert len(trace.iterates) > 5
-    assert dict(builds) == {"FiniteDistribution": len(trace.iterates)}
+    assert trace.iterates.shape == (trace.values.size, 3) and trace.values.size > 5
+    assert not trace.iterates.flags.writeable
+    assert dict(builds) == {}
