@@ -292,7 +292,8 @@ def cmd_figure1(args) -> None:
 def _add_common(parser) -> None:
     parser.add_argument("--output", default=None, help="write the artifact here (default: stdout)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    # no default here: a subcommand's set_defaults(tol=...) gives it, else None
+    parser.add_argument("--tol", type=float, help="tolerance override")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
 
@@ -305,28 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="closed-form free-energy minimization")
     p.add_argument("--problem", required=True)
     p.add_argument("--q", default=None, help="optional distribution to score with the optimality gap")
-    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("maxent", help="maximum-entropy fit under moment constraints")
     p.add_argument("--constraints", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=200)
-    p.set_defaults(default_tol=1e-8)
+    p.set_defaults(tol=1e-8)
 
     p = sub.add_parser("posterior", help="normalize an unnormalized model")
     p.add_argument("--model", required=True)
-    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("elbo", help="evidence lower bound of q against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--q", required=True)
-    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("em", help="fit a mixture model by expectation-maximization")
     p.add_argument("--model", required=True, help="JSON initial model")
     p.add_argument("--data", required=True, help="CSV with one observation per line")
     p.add_argument("--max-iter", type=int, default=500)
-    p.set_defaults(default_tol=1e-8)
+    p.set_defaults(tol=1e-8)
 
     p = sub.add_parser("pacbayes", help="bound-coverage experiment for Gibbs learners")
     p.add_argument("--problem", required=True)
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=2000)
-    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("klest", help="variational KL estimate from two sample files")
     p.add_argument("--class", dest="klass", choices=("tabular", "linear"), default="tabular")
@@ -344,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.1)
-    p.set_defaults(default_tol=None)
 
     p = sub.add_parser("mirror", help="simplex descent with a built-in oracle")
     p.add_argument(
@@ -360,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--schedule", choices=("constant", "inv_sqrt", "backtracking"), default="constant")
     p.add_argument("--iters", type=int, default=200)
-    p.set_defaults(default_tol=1e-10)
+    p.set_defaults(tol=1e-10)
 
     p = sub.add_parser("figure1", help="temperature-sweep table for the three penalties")
     p.add_argument("--x-min", type=float, default=-4.0)
@@ -368,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-points", type=int, default=41)
     p.add_argument("--temperatures", default="10,1,0.1,0.01")
     p.add_argument("--loss", default="bimodal", help="built-in loss name or JSON table path")
-    p.set_defaults(default_tol=None)
 
     for sp in sub.choices.values():
         _add_common(sp)
@@ -378,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.tol is None:
-            args.tol = args.default_tol
-        del args.default_tol
         # By name, so that a patched or wrapped cmd_* function takes effect.
         globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
