@@ -261,10 +261,8 @@ def cmd_mirror(args) -> None:
         tol=args.tol,
     )
     header = ["iter", "value", "step_size"] + [f"q{i}" for i in range(oracle.dimension)]
-    rows = []
-    for i, (point, value) in enumerate(zip(trace.iterates, trace.values)):
-        step = float(trace.step_sizes[i - 1]) if i > 0 else 0.0
-        rows.append([i, float(value), step] + point.tolist())
+    steps = [0.0, *trace.step_sizes.tolist()]
+    rows = [[i, v, s, *q] for i, (v, s, q) in enumerate(zip(trace.values.tolist(), steps, trace.iterates.tolist()))]
     _emit_csv(header, rows, args)
 
 

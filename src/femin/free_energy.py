@@ -197,10 +197,9 @@ def solve_tau(p: FiniteDistribution, l: LossVector, temperature: float) -> float
 
 def _tilt(kind: str, base, losses: np.ndarray, t: float):
     """link(base - (losses - min L)/t), the tilt of every closed form, mirror
-    step and Gibbs posterior: gibbs's (probs, log Z) for the Gibbs kinds
-    (base log p for kl, None for neg_entropy), _project's (probs, tau) for
-    L2 (base p). Shifted by min L, so t -> 0 is exact; an overflow is a
-    zero weight."""
+    step and Gibbs posterior: gibbs's (probs, log Z) with base log p or None,
+    or _project's (probs, tau) for L2 with base p. Shifted by min L, so
+    t -> 0 is exact; an overflow is a zero weight."""
     with np.errstate(over="ignore"):
         logits = (losses.min() - losses) / t
         if kind == HALF_SQ_L2:
@@ -211,10 +210,9 @@ def _tilt(kind: str, base, losses: np.ndarray, t: float):
 
 
 def _closed_form(problem: FreeEnergyProblem):
-    """(probs, j_opt, tau) of the minimizer; tau is None for the Gibbs kinds.
-    The tilt is shifted by min L; a Gibbs j_opt is min L - T log Z, and L2's
-    is free_energy's two dot products, in order, so the two agree bitwise.
-    A j_opt beyond the doubles raises NonFinite."""
+    """(probs, j_opt, tau) of the minimizer, tau None for the Gibbs kinds. A
+    Gibbs j_opt is min L - T log Z; L2's is free_energy's two dot products,
+    in order, so they agree bitwise. One beyond the doubles raises NonFinite."""
     losses, t, kind = problem.loss.losses, problem.temperature, problem.penalty.kind
     low = float(losses.min())
     if kind == HALF_SQ_L2:

@@ -6,9 +6,8 @@ method is fair), and the normalized exponentiated gradient update
 
     q'(x) proportional to q(x) * exp(-alpha * grad_x),
 
-i.e. mirror descent in the KL geometry. Both steps are the closed forms'
-tilt (kl or half_sq_l2) based at the iterate, with loss = grad and
-T = 1/alpha, so any finite alpha gives the exact step.
+the kl closed form at the iterate with loss = grad and T = 1/alpha, i.e.
+mirror descent in the KL geometry; both steps run through its tilt.
 """
 
 from __future__ import annotations
@@ -155,8 +154,7 @@ def run_descent(
     decrease; if the candidate left after 30 halvings raises the value, it
     is rejected and the descent stops. A candidate that fails to move the
     value by tol is discarded, so a start at a stationary point leaves a
-    trace of length 1. The iterates are on the simplex by construction and
-    are returned as one read-only array, not checked again.
+    trace of length 1. The iterates come back as one read-only array.
     """
     if method not in ("neg", "euclidean"):
         raise ValueError(f"method must be 'neg' or 'euclidean', got {method!r}")

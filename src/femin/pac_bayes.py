@@ -126,8 +126,7 @@ def test_losses(problem: LearningProblem) -> np.ndarray:
 def gibbs_posterior(problem: LearningProblem, s, beta: float) -> FiniteDistribution:
     """Minimizer of E_q[train loss] + (1/beta) KL(q || prior):
     q(x) proportional to prior(x) exp(-beta * train_loss(x)), bit for bit
-    the kl closed form of minimize_closed_form at T = 1/beta, so a beta near
-    the largest double gives the prior restricted to the argmin."""
+    the kl closed form of minimize_closed_form at T = 1/beta."""
     beta = _check_beta(beta)
     train = training_losses(problem, s)
     return FiniteDistribution(_tilt(KL_TO_PRIOR, np.log(problem.prior.probs), train, 1.0 / beta)[0])
@@ -200,7 +199,6 @@ def coverage_experiment(
     delta = _check_delta(delta)
     seed = _check_count(seed, "seed", 0)
     # gibbs_posterior, training_losses and pac_bayes_bound on the arrays checked above
-    t = 1.0 / beta
     log_prior = np.log(problem.prior.probs)
     test_vec = test_losses(problem)
     n_violations = 0
@@ -210,7 +208,7 @@ def coverage_experiment(
         rng = np.random.default_rng((seed, trial))
         s = rng.choice(problem.n_outcomes, size=m, p=problem.data_model.probs)
         train = problem.loss_table[:, s].mean(axis=1)
-        q = _tilt(KL_TO_PRIOR, log_prior, train, t)[0]
+        q = _tilt(KL_TO_PRIOR, log_prior, train, 1.0 / beta)[0]
         gap = float(q @ (test_vec - train))
         bound = _bound(_kl(q, problem.prior.probs), m, delta, problem.a, problem.b)
         if gap > bound:
