@@ -223,6 +223,9 @@ def _closed_form(problem: FreeEnergyProblem):
     else:
         base = np.log(problem.penalty.prior.probs) if kind == KL_TO_PRIOR else None
         probs, log_z = _tilt(kind, base, losses, t)
+        if float(losses.max()) - low <= t:  # logits in [-1, 0]: log1p keeps log Z's digits as T grows
+            w, log_n = (problem.penalty.prior.probs, 0.0) if base is not None else (1 / losses.size, np.log(losses.size))
+            log_z = log_n + np.log1p((w * np.expm1((low - losses) / t)).sum())
         j_opt, tau = low - t * float(log_z), None
     if not np.isfinite(j_opt):
         raise NonFinite(f"j_opt has no double value at T = {t!r}")

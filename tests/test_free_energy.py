@@ -331,6 +331,24 @@ def test_gibbs_zero_temperature_limit(losses, t, kind, data):
     assert sol.j_opt == pytest.approx(losses.min(), rel=1e-15, abs=1e3 * t)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+    st.floats(-3.0, 300.0).map(lambda e: 10.0**e),
+    st.data(),
+)
+def test_kl_large_temperature_limit(losses, t, data):
+    # Jensen bounds J's minimum by E_p[L] above, and Hoeffding's lemma by
+    # E_p[L] - spread^2 / (8T) below, so j_opt -> E_p[L] as T -> infinity.
+    losses = np.array(losses)
+    prior = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=losses.size, max_size=losses.size)))
+    prior /= prior.sum()
+    j_opt = minimize_closed_form(kl_problem(losses, prior, t)).j_opt
+    mean, spread = float(prior @ losses), float(losses.max() - losses.min())
+    eps = 1e-13 * (1.0 + np.abs(losses).max())
+    assert mean - spread**2 / (2.0 * t) - eps <= j_opt <= mean + eps
+
+
 class TestBruteForceOracle:
     def test_zero_loss_recovers_uniform(self):
         sol = brute_force_minimize(neg_entropy_problem([0.0, 0.0]), 1e-3)
