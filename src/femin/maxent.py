@@ -159,6 +159,10 @@ def _dual_newton(features, targets, tol, max_iter):
             lam_alpha = float(lam @ targets)
             rounding = np.finfo(float).eps * (abs(lam_alpha) + abs(lam_alpha - current))
             full_step = grad @ direction / 2 <= rounding
+        elif eigvals[-1] > 0:  # singular: a Newton step on the covariance's range, a gradient step off it
+            vals, vecs = np.linalg.eigh(cov)
+            inv = np.divide(1.0, vals, out=np.full(m, fallback_step), where=vals >= 1e-12 * vals[-1])
+            direction = vecs @ (inv * (vecs.T @ grad))
         else:
             direction = fallback_step * grad
         step = 1.0
@@ -200,8 +204,8 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
     """Fit the max-entropy distribution matching the given moments.
 
     Damped Newton on the dual: gradient alpha - E_q[f], Hessian -Cov_q(f),
-    with step halving until the dual increases; falls back to a fixed-step
-    gradient ascent when the covariance is numerically singular. Raises
+    with step halving until the dual increases; where the covariance is
+    singular, Newton on its range and a fixed gradient step off it. Raises
     Infeasible, with a certificate on its report, for targets outside (or
     on the boundary of) the feasible hull and NotConverged when max_iter is
     exhausted."""

@@ -176,6 +176,15 @@ class TestSolveMaxent:
         assert np.abs(result.q.probs - [0.28, 0.42, 0.12, 0.18]).max() <= 1e-15
         assert np.all(np.diff(result.dual_trace) >= -1e-15)
 
+    def test_dependent_features_take_newton_steps(self):
+        # Cov_q of [f, 2f] is singular at every q: Newton on its range, not a gradient crawl
+        f = np.array([0.0, 1.0, 2.0, 3.0])
+        single = solve_maxent([MomentConstraint(f, 1.2)], 4, tol=1e-12)
+        for tol, iterations in ((1e-8, 3), (1e-12, 7)):
+            result = solve_maxent([MomentConstraint(f, 1.2), MomentConstraint(2 * f, 2.4)], 4, tol=tol)
+            assert result.iterations <= iterations and result.residual <= tol
+            assert np.abs(result.q.probs - single.q.probs).max() <= 1e-8
+
     def test_not_converged_reports_diagnostics(self):
         with pytest.raises(NotConverged) as err:
             solve_maxent([MomentConstraint([0.0, 1.0], 0.499)], 2, tol=1e-14, max_iter=1)
@@ -298,6 +307,13 @@ class TestCertificates:
         if isinstance(err.value, Infeasible):
             assert_certificate(err.value.report, np.array(self.triangle), [0.5, 0.5])
             assert np.allclose(err.value.report.certificate, [0.5**0.5, 0.5**0.5])
+
+    def test_inconsistent_targets_on_dependent_features(self):
+        f = np.array([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(Infeasible) as err:
+            solve_maxent([MomentConstraint(f, 1.2), MomentConstraint(2 * f, 2.5)], 4)
+        assert_certificate(err.value.report, np.array([f, 2 * f]), [1.2, 2.5])
+        assert np.allclose(err.value.report.certificate, np.array([-2.0, 1.0]) / 5**0.5, rtol=0.0, atol=1e-3)
 
     def test_interval_failures_carry_a_unit_vector(self):
         for target, sign in ((1.5, 1.0), (1.0, 1.0), (0.0, -1.0), (-2.0, -1.0)):
