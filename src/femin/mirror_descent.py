@@ -126,7 +126,10 @@ def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
     grad = np.asarray(grad, dtype=float)
     if grad.shape != q.probs.shape:
         raise ValueError(f"grad has shape {grad.shape}, expected {q.probs.shape}")
-    return FiniteDistribution(_tilt(KL_TO_PRIOR, np.log(q.probs), grad, 1.0 / float(alpha))[0])
+    alpha = float(alpha)
+    if not (np.isfinite(alpha) and alpha > 0):  # T = 1/alpha must be finite and > 0
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    return FiniteDistribution(_tilt(KL_TO_PRIOR, np.log(q.probs), grad, 1.0 / alpha)[0])
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ def run_descent(
         return DescentTrace(points, np.array(values), np.array(step_sizes))
 
     for iteration in range(1, max_iter + 1):
-        alpha = step_size / np.sqrt(iteration) if schedule == "inv_sqrt" else step_size
+        alpha = float(step_size / np.sqrt(iteration)) if schedule == "inv_sqrt" else step_size
         candidate = advance(current, grad, alpha)
         cand_value, cand_grad = oracle.evaluate(candidate)
         if schedule == "backtracking":

@@ -61,6 +61,11 @@ class TestNegStep:
                 closed = minimize_closed_form(fe).q_opt.probs
                 assert np.array_equal(neg_step(q, grad, alpha).probs, closed)
 
+    def test_step_size_must_be_positive_and_finite(self):
+        for bad in (0.0, -0.3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                neg_step(FiniteDistribution.uniform(2), np.zeros(2), bad)
+
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ZeroCoordinate):
             neg_step(FiniteDistribution([1.0, 0.0]), np.zeros(2), 0.1)
@@ -196,6 +201,14 @@ class TestRunDescent:
             tol=0.0,
         )
         assert np.allclose(trace.step_sizes, 1.0 / np.sqrt([1, 2, 3, 4]), atol=1e-15)
+
+    def test_subnormal_step_sizes_leave_the_start_without_a_warning(self):
+        # T = 1/alpha overflows to inf: the tilt is the base point itself
+        oracle = make_oracle("linear", [1.0, 2.0, 1.0])
+        for method in ("neg", "euclidean"):
+            for schedule in ("constant", "inv_sqrt"):
+                trace = run_descent(oracle, FiniteDistribution.uniform(3), method, 1e-320, schedule, max_iter=5, tol=0.0)
+                assert trace.iterates.shape == (6, 3) and np.all(trace.iterates == 1.0 / 3.0)
 
     def test_long_multiplicative_run_floors_coordinates(self):
         oracle = make_oracle("linear", [0.0, 1.0])
