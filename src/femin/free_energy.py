@@ -195,18 +195,18 @@ def solve_tau(p: FiniteDistribution, l: LossVector, temperature: float) -> float
     return minimize_closed_form(FreeEnergyProblem(l, temperature, ComplexityPenalty(HALF_SQ_L2, p))).tau
 
 
-def _tilt(kind: str, base, losses: np.ndarray, t: float):
-    """link(base - (losses - min L)/t), the tilt of every closed form, mirror
-    step and Gibbs posterior: gibbs's (probs, log Z) with base log p or None,
-    or _project's (probs, tau) for L2 with base p. Shifted by min L, so
-    t -> 0 is exact; an overflow is a zero weight."""
+def _tilt(kind: str, p, losses: np.ndarray, t: float):
+    """The tilt of every closed form, mirror step and Gibbs posterior from the
+    base point p: link(base - (losses - min L)/t) with base = log p and link
+    gibbs, (probs, log Z), for kl (p None for neg_entropy), or base = p and
+    link _project, (probs, tau), for L2. Shifted by min L, so t -> 0 is
+    exact; an overflow is a zero weight."""
     with np.errstate(over="ignore"):
         if kind == HALF_SQ_L2:
-            return _project(base - (losses - losses.min()) / t)
+            return _project(p - (losses - losses.min()) / t)
         logits = (losses.min() - losses) / t
-        if base is not None:
-            logits += base
-            del base  # callers pass a temporary: freed here, gibbs reuses its pages (~1 ms at n = 2^18)
+        if p is not None:
+            logits += np.log(p)  # taken after the shift, the log's memory is free for gibbs
         return gibbs(logits)
 
 
@@ -215,18 +215,17 @@ def _closed_form(problem: FreeEnergyProblem):
     Gibbs j_opt is min L - T log Z; L2's is free_energy's two dot products,
     in order, so they agree bitwise. One beyond the doubles raises NonFinite."""
     losses, t, kind = problem.loss.losses, problem.temperature, problem.penalty.kind
+    prior = None if problem.penalty.prior is None else problem.penalty.prior.probs
     low = float(losses.min())
     if kind == HALF_SQ_L2:
-        prior = problem.penalty.prior.probs
         probs, tau = _tilt(kind, prior, losses, t)
         diff = probs - prior
         j_opt, tau = float(probs @ losses) + t * float(0.5 * (diff @ diff)), tau - low / t
     else:
-        kl = kind == KL_TO_PRIOR
-        probs, log_z = _tilt(kind, np.log(problem.penalty.prior.probs) if kl else None, losses, t)
+        probs, log_z = _tilt(kind, prior, losses, t)
         if float(losses.max()) - low <= t:  # logits in [-1, 0]: log1p keeps log Z's digits as T grows
             e = np.expm1((low - losses) / t)
-            log_z = np.log1p(problem.penalty.prior.probs @ e) if kl else np.log1p(e.mean()) + np.log(e.size)
+            log_z = np.log1p(e.mean()) + np.log(e.size) if prior is None else np.log1p(prior @ e)
         j_opt, tau = low - t * float(log_z), None
     if not np.isfinite(j_opt):
         raise NonFinite(f"j_opt has no double value at T = {t!r}")

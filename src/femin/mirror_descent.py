@@ -129,7 +129,7 @@ def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0):  # T = 1/alpha must be finite and > 0
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
-    return FiniteDistribution(_tilt(KL_TO_PRIOR, np.log(q.probs), grad, 1.0 / alpha)[0])
+    return FiniteDistribution(_tilt(KL_TO_PRIOR, q.probs, grad, 1.0 / alpha)[0])
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,9 @@ def run_descent(
 
     def advance(x: np.ndarray, g, alpha: float) -> np.ndarray:
         nonlocal floored
+        probs = _tilt(HALF_SQ_L2 if method == "euclidean" else KL_TO_PRIOR, x, g, 1.0 / alpha)[0]
         if method == "euclidean":
-            return _tilt(HALF_SQ_L2, x, g, 1.0 / alpha)[0]
-        probs = _tilt(KL_TO_PRIOR, np.log(x), g, 1.0 / alpha)[0]
+            return probs
         if np.any(probs < PROB_FLOOR):
             floored = True
             probs = np.maximum(probs, PROB_FLOOR)

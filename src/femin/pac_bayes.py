@@ -129,7 +129,7 @@ def gibbs_posterior(problem: LearningProblem, s, beta: float) -> FiniteDistribut
     the kl closed form of minimize_closed_form at T = 1/beta."""
     beta = _check_beta(beta)
     train = training_losses(problem, s)
-    return FiniteDistribution(_tilt(KL_TO_PRIOR, np.log(problem.prior.probs), train, 1.0 / beta)[0])
+    return FiniteDistribution(_tilt(KL_TO_PRIOR, problem.prior.probs, train, 1.0 / beta)[0])
 
 
 def dv_check(problem: LearningProblem, q: FiniteDistribution, s, beta: float):
@@ -199,7 +199,6 @@ def coverage_experiment(
     delta = _check_delta(delta)
     seed = _check_count(seed, "seed", 0)
     # gibbs_posterior, training_losses and pac_bayes_bound on the arrays checked above
-    log_prior = np.log(problem.prior.probs)
     test_vec = test_losses(problem)
     n_violations = 0
     gap_total = 0.0
@@ -208,7 +207,7 @@ def coverage_experiment(
         rng = np.random.default_rng((seed, trial))
         s = rng.choice(problem.n_outcomes, size=m, p=problem.data_model.probs)
         train = problem.loss_table[:, s].mean(axis=1)
-        q = _tilt(KL_TO_PRIOR, log_prior, train, 1.0 / beta)[0]
+        q = _tilt(KL_TO_PRIOR, problem.prior.probs, train, 1.0 / beta)[0]
         gap = float(q @ (test_vec - train))
         bound = _bound(_kl(q, problem.prior.probs), m, delta, problem.a, problem.b)
         if gap > bound:
