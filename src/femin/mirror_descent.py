@@ -7,7 +7,7 @@ method is fair), and the normalized exponentiated gradient update
     q'(x) proportional to q(x) * exp(-alpha * grad_x),
 
 the kl closed form at the iterate with loss = grad and T = 1/alpha, i.e.
-mirror descent in the KL geometry; both steps run through its tilt.
+mirror descent in the KL geometry; both steps run through the closed forms' tilt.
 """
 
 from __future__ import annotations
