@@ -25,7 +25,7 @@ from .latent_em import CATEGORICAL, MixtureModel, em_fit
 from .maxent import MomentConstraint, solve_maxent
 from .mirror_descent import make_oracle, run_descent
 from .pac_bayes import LearningProblem, coverage_experiment
-from .simplex import FiniteDistribution
+from .simplex import FiniteDistribution, _require_same_size
 
 SCHEMA_VERSION = 1
 
@@ -116,9 +116,12 @@ def _config_echo(args) -> dict:
 
 
 def _write_text(text: str, args) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.output is not None:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
         if not args.quiet:
             print(f"wrote {args.output}", file=sys.stderr)
     else:
@@ -143,7 +146,7 @@ def cmd_solve(args) -> None:
     problem = _from_dict(FreeEnergyProblem.from_dict, _load_json(args.problem), "problem file")
     solution = minimize_closed_form(problem)
     payload = {"solution": solution.to_dict()}
-    if args.q:
+    if args.q is not None:
         q = _from_dict(FiniteDistribution.from_dict, _load_json(args.q), "q file")
         payload["fenchel_young_gap"] = fenchel_young_gap(problem, q)
     _emit_json(payload, args)
@@ -159,12 +162,11 @@ def cmd_maxent(args) -> None:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed constraints file: {exc!r}") from exc
     constraints = [MomentConstraint(f, t) for f, t in pairs]
-    if constraints:
+    alphabet_size = args.alphabet_size
+    if alphabet_size is None:
+        if not constraints:
+            raise InputError("--alphabet-size is required when the constraint list is empty")
         alphabet_size = constraints[0].feature.size
-    elif args.alphabet_size:
-        alphabet_size = args.alphabet_size
-    else:
-        raise InputError("--alphabet-size is required when the constraint list is empty")
     result = solve_maxent(constraints, alphabet_size, tol=args.tol, max_iter=args.max_iter)
     _emit_json(
         {
@@ -216,11 +218,11 @@ def cmd_pacbayes(args) -> None:
 
 def cmd_klest(args) -> None:
     samples = SamplePair(_load_csv_column(args.samples_p, int), _load_csv_column(args.samples_q, int))
-    alphabet_size = args.alphabet_size or samples.max_symbol() + 1
     if args.klass == "tabular":
-        init = TabularFunction.zeros(alphabet_size)
+        size = samples.max_symbol() + 1 if args.alphabet_size is None else args.alphabet_size
+        init = TabularFunction.zeros(size)
     else:
-        if not args.features:
+        if args.features is None:
             raise InputError("--features is required for --class linear")
         table = _load_json(args.features)
         try:
@@ -228,6 +230,8 @@ def cmd_klest(args) -> None:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed features file: {exc!r}") from exc
         init = LinearFeaturesFunction.zeros(features)
+        if args.alphabet_size is not None:
+            _require_same_size(init.alphabet_size, args.alphabet_size, "features and --alphabet-size")
     result = fit_dv(init, samples, steps=args.steps, learning_rate=args.lr, seed=args.seed)
     payload = {
         "kl_estimate": result.kl_estimate,
@@ -247,7 +251,7 @@ def cmd_mirror(args) -> None:
         raise InputError(f"--{flag} is required for the {args.oracle} oracle")
     extra = (args.reg,) if args.oracle == "entropy-regularized-linear" else ()
     oracle = make_oracle(args.oracle, _parse_number_list(getattr(args, flag), f"--{flag}"), *extra)
-    if args.x0:
+    if args.x0 is not None:
         x0 = FiniteDistribution(np.asarray(_parse_number_list(args.x0, "--x0")))
     else:
         x0 = FiniteDistribution.uniform(oracle.dimension)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .free_energy import NEG_ENTROPY, PENALTY_KINDS, ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
 from .simplex import FiniteDistribution, LossVector, gibbs
+from .simplex import _as_readonly_vector, _check_count, _require_same_size
 
 LOSS_SCALE_MAX = 5.0
 
@@ -75,12 +76,10 @@ def figure1_table(
     `loss` is a built-in name or a per-gridpoint table (rescaled onto
     [0, LOSS_SCALE_MAX] either way).
     """
-    n_points = int(n_points)
-    if n_points < 10:
-        raise ValueError(f"n_points must be >= 10, got {n_points}")
+    n_points = _check_count(n_points, "n_points", 10)
     x_min, x_max = float(x_min), float(x_max)
-    if not x_min < x_max:
-        raise ValueError(f"need x_min < x_max, got {x_min!r}, {x_max!r}")
+    if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
+        raise ValueError(f"need finite x_min < x_max, got {x_min!r}, {x_max!r}")
     temps = tuple(float(t) for t in temperatures)
     if not temps:
         raise ValueError("at least one temperature is required")
@@ -90,9 +89,8 @@ def figure1_table(
             raise ValueError(f"unknown loss {loss!r}; known: {sorted(BUILTIN_LOSSES)}")
         raw = BUILTIN_LOSSES[loss](x)
     else:
-        raw = np.asarray(loss, dtype=float)
-        if raw.shape != x.shape:
-            raise ValueError(f"loss table must have {n_points} entries, got {raw.shape}")
+        raw = _as_readonly_vector(loss, "loss table")
+        _require_same_size(raw.size, n_points, "loss table and grid")
     table = scale_loss(raw)
     loss_vec = LossVector(table)
     prior = grid_prior(x)

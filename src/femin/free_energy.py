@@ -36,6 +36,7 @@ from .simplex import (
     half_sq_l2,
     kl_divergence,
 )
+from .simplex import _positive, _require_same_size
 
 NEG_ENTROPY = "neg_entropy"
 KL_TO_PRIOR = "kl"
@@ -108,15 +109,9 @@ class FreeEnergyProblem:
     penalty: ComplexityPenalty
 
     def __post_init__(self):
-        t = float(self.temperature)
-        if not np.isfinite(t) or t <= 0.0:
-            raise ValueError(f"temperature must be finite and > 0, got {t!r}")
-        object.__setattr__(self, "temperature", t)
-        if self.penalty.prior is not None and self.penalty.prior.alphabet_size != self.loss.alphabet_size:
-            raise ValueError(
-                f"loss has {self.loss.alphabet_size} symbols but penalty prior has "
-                f"{self.penalty.prior.alphabet_size}"
-            )
+        object.__setattr__(self, "temperature", _positive(self.temperature, "temperature"))
+        if self.penalty.prior is not None:
+            _require_same_size(self.loss.alphabet_size, self.penalty.prior.alphabet_size, "loss and prior")
 
     @property
     def alphabet_size(self) -> int:
@@ -155,8 +150,7 @@ class Solution:
 
 def free_energy(problem: FreeEnergyProblem, q: FiniteDistribution) -> float:
     """J(q) = E_{x~q}[L(x)] + T * D(q)."""
-    if q.alphabet_size != problem.alphabet_size:
-        raise ValueError(f"q has {q.alphabet_size} symbols, problem has {problem.alphabet_size}")
+    _require_same_size(q.alphabet_size, problem.alphabet_size, "q and problem")
     energy = float(q.probs @ problem.loss.losses)
     return energy + problem.temperature * problem.penalty.value(q)
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free_energy import ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
-from .simplex import FiniteDistribution, LossVector, _as_readonly_vector, entropy, gibbs, log_sum_exp
+from .simplex import FiniteDistribution, LossVector, entropy, gibbs, log_sum_exp
+from .simplex import _as_readonly_vector, _check_count, _require_same_size
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ def elbo(model: UnnormalizedModel, q: FiniteDistribution) -> float:
     Lower-bounds log Z, with equality exactly at the posterior; the gap is
     KL(q || posterior).
     """
-    if q.alphabet_size != model.alphabet_size:
-        raise ValueError(f"q has {q.alphabet_size} symbols, model has {model.alphabet_size}")
+    _require_same_size(q.alphabet_size, model.alphabet_size, "q and model")
     return float(q.probs @ model.log_tilde_p) + entropy(q)
 
 
@@ -76,6 +76,7 @@ def mean_field_coordinate_ascent(log_joint: np.ndarray, sweeps: int = 20):
     q2 symmetrically, so the evidence lower bound never decreases per sweep.
     Returns (q1, q2, elbo_trace).
     """
+    sweeps = _check_count(sweeps, "sweeps", 0)
     table = np.asarray(log_joint, dtype=float)
     if table.ndim != 2:
         raise ValueError("log_joint must be a 2-D table")
@@ -90,7 +91,7 @@ def mean_field_coordinate_ascent(log_joint: np.ndarray, sweeps: int = 20):
         return elbo(flat_model, joint_q)
 
     trace = [product_elbo()]
-    for _ in range(int(sweeps)):
+    for _ in range(sweeps):
         q1 = FiniteDistribution(gibbs(table @ q2.probs)[0])
         q2 = FiniteDistribution(gibbs(q1.probs @ table)[0])
         trace.append(product_elbo())

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptySamples, NonFinite, SupportViolation
 from .simplex import SUPPORT_EPS, FiniteDistribution, gibbs, log_sum_exp
-from .simplex import _as_readonly_vector, _check_count, _symbol_indices
+from .simplex import _as_readonly_vector, _check_count, _positive, _require_same_size, _symbol_indices
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class TabularFunction:
 
     @classmethod
     def zeros(cls, alphabet_size: int) -> "TabularFunction":
-        return cls(np.zeros(int(alphabet_size)))
+        return cls(np.zeros(_check_count(alphabet_size, "alphabet_size", 1)))
 
     @property
     def alphabet_size(self) -> int:
@@ -87,7 +87,7 @@ class LinearFeaturesFunction:
     @classmethod
     def zeros(cls, features) -> "LinearFeaturesFunction":
         features = np.asarray(features, dtype=float)
-        return cls(features, np.zeros(features.shape[1]))
+        return cls(features, np.zeros(features.shape[-1:]))  # a non-table is rejected by the constructor
 
     @property
     def alphabet_size(self) -> int:
@@ -106,14 +106,7 @@ class SamplePair:
 
     def __post_init__(self):
         for name in ("samples_p", "samples_q"):
-            arr = np.asarray(getattr(self, name))
-            if arr.ndim != 1 or arr.size == 0:
-                raise EmptySamples(f"{name} must be a nonempty vector of symbols")
-            arr = _symbol_indices(arr, name)
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must contain nonnegative symbol indices")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _symbol_indices(getattr(self, name), name, empty=EmptySamples))
 
     def max_symbol(self) -> int:
         return int(max(self.samples_p.max(), self.samples_q.max()))
@@ -142,8 +135,8 @@ def dv_objective_population(fn, p: FiniteDistribution, q: FiniteDistribution) ->
     At most KL(p || q) for every function, with equality at the exact
     optimizer -log(p/q).
     """
-    if p.alphabet_size != fn.alphabet_size or q.alphabet_size != fn.alphabet_size:
-        raise ValueError("p, q, and the function must share the alphabet size")
+    _require_same_size(p.alphabet_size, fn.alphabet_size, "p and function")
+    _require_same_size(q.alphabet_size, fn.alphabet_size, "q and function")
     neg = fn.neg_values()
     p_support = p.probs > SUPPORT_EPS
     if np.any(p_support & (neg == -np.inf)):
@@ -160,8 +153,7 @@ def exact_dv_optimum(p: FiniteDistribution, q: FiniteDistribution) -> TabularFun
     Symbols with p(x) = 0 would need L* = +inf; they are marked excluded
     instead, keeping the stored parameters finite.
     """
-    if p.alphabet_size != q.alphabet_size:
-        raise ValueError("p and q must share the alphabet size")
+    _require_same_size(p.alphabet_size, q.alphabet_size, "p and q")
     p_support = p.probs > SUPPORT_EPS
     if np.any(p_support & (q.probs <= SUPPORT_EPS)):
         bad = int(np.nonzero(p_support & (q.probs <= SUPPORT_EPS))[0][0])
@@ -202,9 +194,8 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
     is deterministic; seed is recorded for provenance only.
     """
     steps = _check_count(steps, "steps", 1)
-    learning_rate = float(learning_rate)
-    if not (learning_rate > 0):
-        raise ValueError("learning_rate must be > 0")
+    learning_rate = _positive(learning_rate, "learning_rate")
+    seed = _check_count(seed, "seed", 0)
     _check_alphabet(init, samples)
     n = init.alphabet_size
     samples_p = samples.samples_p
@@ -243,4 +234,4 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
         params, objective, grad = candidate, value, cand_grad
         trace.append(objective)
     fn = TabularFunction(params, init.excluded) if tabular else LinearFeaturesFunction(init.features, params)
-    return FitResult(fn, float(objective), np.array(trace), int(seed))
+    return FitResult(fn, float(objective), np.array(trace), seed)

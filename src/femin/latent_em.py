@@ -106,14 +106,13 @@ class MixtureModel:
 
 
 def _check_data(model: MixtureModel, data) -> np.ndarray:
-    if model.kind == CATEGORICAL:
-        y = np.asarray(data)
-        if y.ndim != 1 or y.size == 0:
-            raise EmptyData("data must be a nonempty vector of symbols")
-        y = _symbol_indices(y, "observations")
-        if np.any(y < 0) or np.any(y >= model.n_symbols):
-            raise ValueError(f"observations must lie in [0, {model.n_symbols})")
-        return y
+    return _observations(model.kind, data, model.n_symbols if model.kind == CATEGORICAL else None)
+
+
+def _observations(kind: str, data, n_symbols=None) -> np.ndarray:
+    """Categorical symbols in [0, n_symbols), or finite reals, as a nonempty vector."""
+    if kind == CATEGORICAL:
+        return _symbol_indices(data, "observations", n_symbols, EmptyData)
     y = np.asarray(data, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise EmptyData("data must be a nonempty vector of observations")
@@ -251,25 +250,20 @@ def default_init(data, n_components: int, kind: str, seed: int = 0, n_symbols: i
     point by symmetry); Gaussian means come from evenly spaced data
     quantiles with the pooled variance.
     """
-    k = int(n_components)
-    if k < 1:
-        raise ValueError("n_components must be >= 1")
+    k = _check_count(n_components, "n_components", 1)
     weights = FiniteDistribution.uniform(k)
     rng = np.random.default_rng(seed)
     if kind == CATEGORICAL:
-        y = _symbol_indices(data, "observations")
-        if y.size == 0:
-            raise EmptyData("data must be nonempty")
-        v = int(n_symbols) if n_symbols is not None else int(y.max()) + 1
+        v = None if n_symbols is None else _check_count(n_symbols, "n_symbols", 1)
+        y = _observations(kind, data, v)
+        v = int(y.max()) + 1 if v is None else v
         freq = np.bincount(y, minlength=v).astype(float) + 1e-3
         freq /= freq.sum()
         rows = freq[None, :] * (1.0 + 0.1 * rng.random((k, v)))
         rows /= rows.sum(axis=1, keepdims=True)
         return MixtureModel.categorical(weights, rows)
     if kind == GAUSSIAN1D:
-        y = np.asarray(data, dtype=float)
-        if y.size == 0:
-            raise EmptyData("data must be nonempty")
+        y = _observations(kind, data)
         means = np.quantile(y, (np.arange(k) + 1.0) / (k + 1.0))
         pooled = max(float(y.var()), VARIANCE_FLOOR)
         return MixtureModel.gaussian1d(weights, means, np.full(k, pooled))

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, NotConverged
-from .simplex import FiniteDistribution, _as_readonly_vector, _check_count, gibbs, log_sum_exp
+from .simplex import FiniteDistribution, gibbs, log_sum_exp
+from .simplex import _as_readonly_vector, _check_count, _require_same_size
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ class MaxEntSolution:
 
 
 def _stack_features(constraints):
-    if len({c.feature.size for c in constraints}) > 1:
-        raise ValueError("all features must share the alphabet size")
+    for k, c in enumerate(constraints):
+        what = f"all features must share the alphabet size; features 0 and {k}"
+        _require_same_size(constraints[0].feature.size, c.feature.size, what)
     features = np.vstack([c.feature for c in constraints])
     targets = np.array([c.target for c in constraints], dtype=float)
     return features, targets
@@ -209,18 +211,15 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
     Infeasible, with a certificate on its report, for targets outside (or
     on the boundary of) the feasible hull and NotConverged when max_iter is
     exhausted."""
-    n_x = int(alphabet_size)
-    if n_x < 1:
-        raise ValueError("alphabet_size must be >= 1")
+    n_x = _check_count(alphabet_size, "alphabet_size", 1)
     max_iter = _check_count(max_iter, "max_iter", 0)
     m = len(constraints)
     if m == 0:
         return MaxEntSolution(np.zeros(0), FiniteDistribution.uniform(n_x), 0, 0.0, np.array([-np.log(n_x)]))
+    features, targets = _stack_features(constraints)
+    _require_same_size(features.shape[1], n_x, "features and alphabet")
     if m > n_x - 1:
         raise ValueError(f"at most {n_x - 1} constraints supported on {n_x} symbols, got {m}")
-    features, targets = _stack_features(constraints)
-    if features.shape[1] != n_x:
-        raise ValueError(f"features are over {features.shape[1]} symbols, expected {n_x}")
     report = _interval_report(features, targets)
     if not report.feasible:
         raise _infeasible(report)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FlooringWarning, NonFinite, ZeroCoordinate
 from .free_energy import HALF_SQ_L2, KL_TO_PRIOR, _project, _tilt
-from .simplex import FiniteDistribution, _check_count
+from .simplex import FiniteDistribution, _as_readonly_vector, _check_count, _positive, _require_same_size
 
 # Smallest iterate coordinate for the multiplicative method.
 PROB_FLOOR = 1e-300
@@ -30,9 +30,9 @@ PROB_FLOOR = 1e-300
 class ObjectiveOracle:
     """Differentiable objective on (a neighborhood of) the simplex.
 
-    evaluate(x) returns (value, gradient). Build through make_oracle or
-    validate with validate_gradient so the gradient is checked against
-    central finite differences before use.
+    evaluate(x) returns (value, gradient). The built-in oracles of
+    make_oracle have exact gradients; check a hand-built one against central
+    finite differences with validate_gradient before use.
     """
 
     dimension: int
@@ -44,7 +44,7 @@ def validate_gradient(oracle: ObjectiveOracle, n_points: int = 20, h: float = 1e
     """Check the oracle's gradient against central finite differences at
     random interior simplex points; raises ValueError on mismatch."""
     rng = np.random.default_rng(seed)
-    for _ in range(int(n_points)):
+    for _ in range(_check_count(n_points, "n_points", 1)):
         x = rng.dirichlet(np.full(oracle.dimension, 5.0))
         x = 0.9 * x + 0.1 / oracle.dimension  # keep safely interior
         _, grad = oracle.evaluate(x)
@@ -63,7 +63,7 @@ def validate_gradient(oracle: ObjectiveOracle, n_points: int = 20, h: float = 1e
 
 
 def _linear_oracle(l) -> ObjectiveOracle:
-    l = np.asarray(l, dtype=float)
+    l = _as_readonly_vector(l, "l")
 
     def evaluate(x):
         return float(l @ x), l.copy()
@@ -72,7 +72,7 @@ def _linear_oracle(l) -> ObjectiveOracle:
 
 
 def _quadratic_to_target_oracle(target) -> ObjectiveOracle:
-    target = np.asarray(target, dtype=float)
+    target = _as_readonly_vector(target, "target")
 
     def evaluate(x):
         diff = np.asarray(x, dtype=float) - target
@@ -83,7 +83,7 @@ def _quadratic_to_target_oracle(target) -> ObjectiveOracle:
 
 def _entropy_regularized_linear_oracle(l, reg=0.1) -> ObjectiveOracle:
     # Needs strictly positive points; intended for the multiplicative method.
-    l = np.asarray(l, dtype=float)
+    l = _as_readonly_vector(l, "l")
     reg = float(reg)
 
     def evaluate(x):
@@ -102,12 +102,12 @@ _ORACLE_BUILDERS = {
 
 
 def make_oracle(descriptor: str, *args, **kwargs) -> ObjectiveOracle:
-    """Build a named oracle and validate its gradient."""
+    """Build a named built-in oracle from its vector (l or target: nonempty,
+    one-dimensional, finite) and, for entropy-regularized-linear, reg. Its
+    gradient is exact, so it is not run through validate_gradient."""
     if descriptor not in _ORACLE_BUILDERS:
         raise ValueError(f"unknown oracle {descriptor!r}; known: {sorted(_ORACLE_BUILDERS)}")
-    oracle = _ORACLE_BUILDERS[descriptor](*args, **kwargs)
-    validate_gradient(oracle)
-    return oracle
+    return _ORACLE_BUILDERS[descriptor](*args, **kwargs)
 
 
 def project_to_simplex(v) -> FiniteDistribution:
@@ -126,9 +126,7 @@ def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
     grad = np.asarray(grad, dtype=float)
     if grad.shape != q.probs.shape:
         raise ValueError(f"grad has shape {grad.shape}, expected {q.probs.shape}")
-    alpha = float(alpha)
-    if not (np.isfinite(alpha) and alpha > 0):  # T = 1/alpha must be finite and > 0
-        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    alpha = _positive(alpha, "alpha")  # T = 1/alpha must be finite and > 0
     return FiniteDistribution(_tilt(KL_TO_PRIOR, q.probs, grad, 1.0 / alpha)[0])
 
 
@@ -163,10 +161,9 @@ def run_descent(
         raise ValueError(f"method must be 'neg' or 'euclidean', got {method!r}")
     if schedule not in ("constant", "inv_sqrt", "backtracking"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    step_size = float(step_size)
-    if not (np.isfinite(step_size) and step_size > 0):
-        raise ValueError(f"step_size must be finite and > 0, got {step_size!r}")
+    step_size = _positive(step_size, "step_size")
     max_iter = _check_count(max_iter, "max_iter", 0)
+    _require_same_size(x0.alphabet_size, oracle.dimension, "x0 and oracle")
     if method == "neg" and np.any(x0.probs <= 0):
         raise ZeroCoordinate("the multiplicative method needs a strictly positive start")
 

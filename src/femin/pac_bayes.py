@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyTrainingSet, NonPositivePrior
 from .free_energy import KL_TO_PRIOR, _tilt
 from .simplex import SUPPORT_EPS, FiniteDistribution, kl_divergence, log_sum_exp
-from .simplex import _check_count, _kl, _symbol_indices
+from .simplex import _check_count, _kl, _positive, _require_same_size, _symbol_indices
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,8 @@ class LearningProblem:
             raise ValueError("losses must be finite")
         if table.min() < a or table.max() > b:
             raise ValueError("every loss must lie in [a, b]")
-        if table.shape[0] != self.prior.alphabet_size:
-            raise ValueError(
-                f"prior covers {self.prior.alphabet_size} hypotheses, table has {table.shape[0]}"
-            )
-        if table.shape[1] != self.data_model.alphabet_size:
-            raise ValueError(
-                f"data model covers {self.data_model.alphabet_size} symbols, table has {table.shape[1]}"
-            )
+        _require_same_size(self.prior.alphabet_size, table.shape[0], "prior and loss_table rows")
+        _require_same_size(self.data_model.alphabet_size, table.shape[1], "data_model and loss_table columns")
         if np.any(self.prior.probs <= SUPPORT_EPS):
             raise NonPositivePrior("prior over hypotheses must be strictly positive")
         table.setflags(write=False)
@@ -89,23 +83,6 @@ class LearningProblem:
         )
 
 
-def _check_samples(problem: LearningProblem, s) -> np.ndarray:
-    samples = np.asarray(s)
-    if samples.ndim != 1 or samples.size == 0:
-        raise EmptyTrainingSet("training set must be a nonempty vector of symbols")
-    samples = _symbol_indices(samples, "training symbols")
-    if np.any(samples < 0) or np.any(samples >= problem.n_outcomes):
-        raise ValueError(f"training symbols must lie in [0, {problem.n_outcomes})")
-    return samples
-
-
-def _check_beta(beta) -> float:
-    beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
-    return beta
-
-
 def _check_delta(delta) -> float:
     delta = float(delta)
     if not (0.0 < delta < 1.0):
@@ -115,7 +92,8 @@ def _check_delta(delta) -> float:
 
 def training_losses(problem: LearningProblem, s) -> np.ndarray:
     """Empirical loss of every hypothesis on the sample: (1/m) sum_i l(x, z_i)."""
-    return problem.loss_table[:, _check_samples(problem, s)].mean(axis=1)
+    samples = _symbol_indices(s, "training set", problem.n_outcomes, EmptyTrainingSet)
+    return problem.loss_table[:, samples].mean(axis=1)
 
 
 def test_losses(problem: LearningProblem) -> np.ndarray:
@@ -127,7 +105,7 @@ def gibbs_posterior(problem: LearningProblem, s, beta: float) -> FiniteDistribut
     """Minimizer of E_q[train loss] + (1/beta) KL(q || prior):
     q(x) proportional to prior(x) exp(-beta * train_loss(x)), bit for bit
     the kl closed form of minimize_closed_form at T = 1/beta."""
-    beta = _check_beta(beta)
+    beta = _positive(beta, "beta")
     train = training_losses(problem, s)
     return FiniteDistribution(_tilt(KL_TO_PRIOR, problem.prior.probs, train, 1.0 / beta)[0])
 
@@ -139,7 +117,7 @@ def dv_check(problem: LearningProblem, q: FiniteDistribution, s, beta: float):
     rhs = KL(q || prior) + log E_{x~prior}[exp(beta * (test - train)(x))];
     lhs <= rhs for every q absolutely continuous w.r.t. the prior.
     """
-    beta = _check_beta(beta)
+    beta = _positive(beta, "beta")
     gaps = test_losses(problem) - training_losses(problem, s)
     lhs = float(q.probs @ (beta * gaps))
     rhs = kl_divergence(q, problem.prior) + log_sum_exp(np.log(problem.prior.probs) + beta * gaps)
@@ -195,7 +173,7 @@ def coverage_experiment(
     """
     trials = _check_count(trials, "trials", 100)  # fewer give no meaningful rate
     m = _check_count(m, "m", 1)
-    beta = _check_beta(beta)
+    beta = _positive(beta, "beta")
     delta = _check_delta(delta)
     seed = _check_count(seed, "seed", 0)
     # gibbs_posterior, training_losses and pac_bayes_bound on the arrays checked above

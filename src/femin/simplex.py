@@ -32,12 +32,20 @@ def _as_readonly_vector(values, name):
     return arr
 
 
-def _symbol_indices(values, name) -> np.ndarray:
-    """int64 copy of symbol indices; floats must be integral and at most 2**53 in size."""
+def _symbol_indices(values, name, n=None, empty=ValueError) -> np.ndarray:
+    """Read-only int64 copy of a nonempty vector of symbol indices in [0, n),
+    [0, inf) if n is None; floats must be integral and at most 2**53 in size.
+    An empty or non-vector input raises `empty`."""
     arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size == 0:
+        raise empty(f"{name} must be a nonempty vector of symbols")
     if arr.dtype.kind == "f" and not np.all((np.floor(arr) == arr) & (np.abs(arr) <= 2.0**53)):
         raise ValueError(f"{name} must be integers, got a non-integral entry")
-    return arr.astype(np.int64)
+    arr = arr.astype(np.int64)
+    if arr.min() < 0 or (n is not None and arr.max() >= n):
+        raise ValueError(f"{name} must lie in [0, {'inf' if n is None else n})")
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_count(value, name, minimum) -> int:
@@ -47,6 +55,20 @@ def _check_count(value, name, minimum) -> int:
     if int(value) < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {int(value)}")
     return int(value)
+
+
+def _positive(value, name) -> float:
+    """A scalar as a float that is finite and > 0; other values raise."""
+    v = float(value)
+    if not (np.isfinite(v) and v > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    return v
+
+
+def _require_same_size(m: int, n: int, what: str):
+    """Raise DimensionMismatch unless the alphabet sizes m and n are equal."""
+    if m != n:
+        raise DimensionMismatch(f"{what} have lengths {m} and {n}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +100,8 @@ class FiniteDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteDistribution":
-        return cls(np.full(int(n), 1.0 / int(n)))
+        n = _check_count(n, "n", 1)
+        return cls(np.full(n, 1.0 / n))
 
     @classmethod
     def normalized(cls, weights) -> "FiniteDistribution":
@@ -122,11 +145,6 @@ class LossVector:
         return cls(np.asarray(data["losses"], dtype=float))
 
 
-def _require_same_size(a, b, what="vectors"):
-    if a.size != b.size:
-        raise DimensionMismatch(f"{what} have lengths {a.size} and {b.size}")
-
-
 def entropy(q: FiniteDistribution) -> float:
     """Shannon entropy H(q) = -sum_x q(x) log q(x), in nats.
 
@@ -144,7 +162,7 @@ def kl_divergence(q: FiniteDistribution, p: FiniteDistribution) -> float:
     Requires q absolutely continuous w.r.t. p; raises SupportViolation
     where q(x) > 0 but p(x) = 0.
     """
-    _require_same_size(q.probs, p.probs, "distributions")
+    _require_same_size(q.alphabet_size, p.alphabet_size, "distributions")
     unsupported = np.nonzero((q.probs > SUPPORT_EPS) & (p.probs <= SUPPORT_EPS))[0]
     if unsupported.size:
         raise SupportViolation(f"q has mass at symbol {int(unsupported[0])} where p has none")
@@ -161,7 +179,7 @@ def _kl(q: np.ndarray, p: np.ndarray) -> float:
 
 def half_sq_l2(q: FiniteDistribution, p: FiniteDistribution) -> float:
     """Half squared Euclidean distance (1/2) * sum_x (q(x) - p(x))^2."""
-    _require_same_size(q.probs, p.probs, "distributions")
+    _require_same_size(q.alphabet_size, p.alphabet_size, "distributions")
     diff = q.probs - p.probs
     return float(0.5 * (diff @ diff))
 
@@ -200,5 +218,5 @@ def log_sum_exp(values) -> float:
 
 def total_variation(q: FiniteDistribution, p: FiniteDistribution) -> float:
     """Total variation distance (1/2) * ||q - p||_1."""
-    _require_same_size(q.probs, p.probs, "distributions")
+    _require_same_size(q.alphabet_size, p.alphabet_size, "distributions")
     return float(0.5 * np.abs(q.probs - p.probs).sum())

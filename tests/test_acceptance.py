@@ -319,9 +319,9 @@ def test_criterion_11_gradients_and_cli_determinism(tmp_path):
             assert abs(grad[k] - fd) / max(1.0, abs(fd)) <= 1e-4
 
     # registry oracles pass their finite-difference validation
-    fm.make_oracle("linear", [0.2, -0.3, 0.5])
-    fm.make_oracle("quadratic-to-target", [0.3, 0.3, 0.4])
-    fm.make_oracle("entropy-regularized-linear", [0.0, 1.0], 0.3)
+    fm.validate_gradient(fm.make_oracle("linear", [0.2, -0.3, 0.5]))
+    fm.validate_gradient(fm.make_oracle("quadratic-to-target", [0.3, 0.3, 0.4]))
+    fm.validate_gradient(fm.make_oracle("entropy-regularized-linear", [0.0, 1.0], 0.3))
 
     # CLI byte-determinism under fixed seeds
     problem = tmp_path / "problem.json"

@@ -209,8 +209,9 @@ class TestFitDv:
         samples = SamplePair([0], [0])
         with pytest.raises(ValueError):
             fit_dv(TabularFunction.zeros(1), samples, steps=0)
-        with pytest.raises(ValueError):
-            fit_dv(TabularFunction.zeros(1), samples, learning_rate=0.0)
+        for lr in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+                fit_dv(TabularFunction.zeros(1), samples, learning_rate=lr)
 
     def test_step_count_not_truncated(self):
         samples = SamplePair([0, 1, 1], [1, 0, 0])

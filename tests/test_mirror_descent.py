@@ -90,9 +90,9 @@ class TestProjection:
 
 class TestOracles:
     def test_builtin_oracles_pass_gradient_validation(self):
-        make_oracle("linear", [0.0, 1.0, -0.5])
-        make_oracle("quadratic-to-target", [0.2, 0.3, 0.5])
-        make_oracle("entropy-regularized-linear", [0.0, 1.0], 0.2)
+        validate_gradient(make_oracle("linear", [0.0, 1.0, -0.5]))
+        validate_gradient(make_oracle("quadratic-to-target", [0.2, 0.3, 0.5]))
+        validate_gradient(make_oracle("entropy-regularized-linear", [0.0, 1.0], 0.2))
 
     def test_wrong_gradient_is_caught(self):
         def evaluate(x):
