@@ -1,0 +1,310 @@
+"""Input checks at the API and CLI boundary.
+
+Every public entry checks its arguments once, through the helpers in
+femin.simplex: counts, finite positive scalars, symbol vectors and alphabet
+sizes. The CLI sweep runs every numeric or list flag of every subcommand at
+edge values through femin.cli.main; each run must end in exit 0, 2 or 3,
+with a JSON error on stderr when it is not 0, and raise no numpy warning.
+"""
+
+import io
+import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+import femin as fm
+import femin.cli
+import femin.mirror_descent
+from femin.figure1 import figure1_table
+
+EDGE_VALUES = ("", "0", "-1", "2.5", "nan", "inf", "-inf", "5e-324")
+FEMIN_WARNINGS = (fm.FlooringWarning, fm.DegenerateComponentWarning)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr, warnings) of femin.cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = femin.cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def assert_clean_exit(argv, code, err, caught):
+    assert code in (0, 2, 3), (argv, code, err)
+    if code != 0:
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["exit_code"] == code, (argv, payload)
+    foreign = [f"{w.category.__name__}: {w.message}" for w in caught if not issubclass(w.category, FEMIN_WARNINGS)]
+    assert not foreign, (argv, foreign)
+
+
+def assert_domain_error(argv, message):
+    code, out, err, caught = run_main(argv)
+    assert_clean_exit(argv, code, err, caught)
+    assert code == 3 and out == "", (argv, code, err)
+    assert message in json.loads(err)["message"], err
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    rng = np.random.default_rng(5)
+    y = np.concatenate([rng.normal(-2.0, 0.5, 15), rng.normal(2.0, 0.5, 15)])
+    return {
+        "problem": write(
+            "problem.json",
+            json.dumps(
+                {"losses": [0.0, 1.0, 0.5], "temperature": 1.0, "penalty": {"kind": "kl", "prior": [0.2, 0.3, 0.5]}}
+            ),
+        ),
+        "q": write("q.json", json.dumps({"probs": [0.5, 0.25, 0.25]})),
+        "constraints": write("constraints.json", json.dumps({"features": [[0.0, 1.0, 2.0]], "targets": [1.2]})),
+        "model": write("model.json", json.dumps({"log_tilde_p": [0.0, 1.0, -1.0]})),
+        "init": write(
+            "init.json",
+            json.dumps(
+                {"weights": [0.5, 0.5], "family": "gaussian1d", "emissions": {"means": [-1.0, 1.0], "vars": [1.0, 1.0]}}
+            ),
+        ),
+        "data": write("data.csv", "".join(f"{v!r}\n" for v in y.tolist())),
+        "learning": write(
+            "learning.json",
+            json.dumps(
+                {
+                    "loss_table": [[0.1, 0.9], [0.6, 0.3], [0.4, 0.5]],
+                    "a": 0.0,
+                    "b": 1.0,
+                    "prior": [0.3, 0.3, 0.4],
+                    "data_model": [0.4, 0.6],
+                }
+            ),
+        ),
+        "samples_p": write("samples_p.csv", "0\n1\n1\n2\n2\n2\n"),
+        "samples_q": write("samples_q.csv", "0\n0\n1\n2\n1\n0\n"),
+    }
+
+
+def base_commands(files):
+    """(argv, numeric or list flags) of each subcommand on small inputs."""
+    return [
+        (["solve", "--problem", files["problem"], "--q", files["q"]], []),
+        (["maxent", "--constraints", files["constraints"]], ["--alphabet-size", "--max-iter"]),
+        (["posterior", "--model", files["model"]], []),
+        (["elbo", "--model", files["model"], "--q", files["q"]], []),
+        (["em", "--model", files["init"], "--data", files["data"], "--max-iter", "20"], ["--max-iter"]),
+        (
+            ["pacbayes", "--problem", files["learning"], "--beta", "2", "--m", "5", "--delta", "0.1"]
+            + ["--trials", "100"],
+            ["--beta", "--m", "--delta", "--trials"],
+        ),
+        (
+            ["klest", "--samples-p", files["samples_p"], "--samples-q", files["samples_q"], "--steps", "20"],
+            ["--alphabet-size", "--steps", "--lr"],
+        ),
+        (["mirror", "--l=0,1,0.5", "--iters", "20"], ["--l", "--x0", "--alpha", "--iters"]),
+        (["mirror", "--oracle", "quadratic-to-target", "--target=0.2,0.8", "--iters", "20"], ["--target"]),
+        (["mirror", "--oracle", "entropy-regularized-linear", "--l=0,1", "--iters", "20"], ["--reg"]),
+        (
+            ["figure1", "--n-points", "12", "--temperatures", "1,0.1"],
+            ["--x-min", "--x-max", "--n-points", "--temperatures"],
+        ),
+    ]
+
+
+def with_flag(argv, flag, value):
+    """argv with `flag` set to `value` as one --flag=value token, replacing any
+    earlier setting; the = form keeps "-1" and "-inf" values."""
+    out = []
+    skip = False
+    for token in argv:
+        if skip:
+            skip = False
+        elif token == flag:
+            skip = True
+        elif not token.startswith(flag + "="):
+            out.append(token)
+    return [*out, f"{flag}={value}"]
+
+
+def test_cli_edge_value_sweep(inputs):
+    for argv, flags in base_commands(inputs):
+        code, _, err, caught = run_main(argv)
+        assert code == 0, (argv, err)
+        assert_clean_exit(argv, code, err, caught)
+        for flag in [*flags, "--seed", "--tol"]:
+            for value in EDGE_VALUES:
+                case = with_flag(argv, flag, value)
+                code, _, err, caught = run_main(case)
+                assert_clean_exit(case, code, err, caught)
+
+
+class TestCliDefectInputs:
+    def test_empty_oracle_vector(self):
+        assert_domain_error(["mirror", "--l="], "l must have at least one entry")
+        target = ["mirror", "--oracle", "quadratic-to-target", "--target="]
+        assert_domain_error(target, "target must have at least one entry")
+
+    def test_infinite_learning_rate(self, inputs):
+        argv = ["klest", "--samples-p", inputs["samples_p"], "--samples-q", inputs["samples_q"], "--lr", "inf"]
+        assert_domain_error(argv, "learning_rate must be finite and > 0, got inf")
+
+    def test_maxent_alphabet_size_is_read_with_constraints(self, inputs):
+        argv = ["maxent", "--constraints", inputs["constraints"], "--alphabet-size", "5"]
+        assert_domain_error(argv, "features and alphabet have lengths 3 and 5")
+
+    def test_klest_alphabet_size_zero_is_read(self, inputs):
+        argv = ["klest", "--samples-p", inputs["samples_p"], "--samples-q", inputs["samples_q"], "--alphabet-size", "0"]
+        assert_domain_error(argv, "alphabet_size must be >= 1, got 0")
+
+    def test_empty_start_is_read(self):
+        assert_domain_error(["mirror", "--l=0,1", "--x0="], "probs must have at least one entry")
+
+    def test_start_must_match_the_oracle(self):
+        assert_domain_error(["mirror", "--l=0,1", "--x0=0.2,0.3,0.5"], "x0 and oracle have lengths 3 and 2")
+
+    @pytest.mark.parametrize("flag", ["--x-max=inf", "--x-min=-inf", "--x-max=nan"])
+    def test_figure1_range_must_be_finite(self, flag):
+        assert_domain_error(["figure1", flag], "need finite x_min < x_max")
+
+    def test_unwritable_output_is_an_input_error(self, inputs, tmp_path):
+        argv = ["posterior", "--model", inputs["model"], "--output", str(tmp_path / "missing" / "out.json")]
+        code, _, err, _ = run_main(argv)
+        assert code == 2 and json.loads(err)["message"].startswith("cannot write")
+
+
+class TestCounts:
+    @pytest.mark.parametrize("n", [0, 2.5, -1])
+    def test_uniform(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            fm.FiniteDistribution.uniform(n)
+
+    def test_uniform_accepts_integral_floats(self):
+        assert fm.FiniteDistribution.uniform(2.0).probs.tolist() == [0.5, 0.5]
+
+    def test_solve_maxent_alphabet_size(self):
+        with pytest.raises(ValueError, match="alphabet_size must be an integer, got 2.9"):
+            fm.solve_maxent([], 2.9)
+
+    def test_default_init_components(self):
+        with pytest.raises(ValueError, match="n_components must be an integer, got 2.7"):
+            fm.default_init([0, 1, 1], 2.7, fm.CATEGORICAL)
+
+    def test_default_init_symbols(self):
+        with pytest.raises(ValueError, match="n_symbols must be an integer, got 3.5"):
+            fm.default_init([0, 1, 1], 2, fm.CATEGORICAL, n_symbols=3.5)
+
+    def test_figure1_points(self):
+        with pytest.raises(ValueError, match="n_points must be an integer, got 10.9"):
+            figure1_table(-1.0, 1.0, 10.9, [1.0])
+
+    def test_mean_field_sweeps(self):
+        with pytest.raises(ValueError, match="sweeps must be an integer, got 2.5"):
+            fm.mean_field_coordinate_ascent(np.zeros((2, 2)), sweeps=2.5)
+
+    def test_tabular_zeros(self):
+        with pytest.raises(ValueError, match="alphabet_size must be an integer, got 3.5"):
+            fm.TabularFunction.zeros(3.5)
+
+    def test_validate_gradient_points(self):
+        with pytest.raises(ValueError, match="n_points must be an integer, got 1.5"):
+            fm.validate_gradient(fm.make_oracle("linear", [0.0, 1.0]), n_points=1.5)
+
+    def test_fit_dv_seed(self):
+        samples = fm.SamplePair([0, 1], [1, 0])
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            fm.fit_dv(fm.TabularFunction.zeros(2), samples, steps=2, seed=1.5)
+
+
+class TestFigure1Range:
+    @pytest.mark.parametrize(("x_min", "x_max"), [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_figure1_range(self, x_min, x_max):
+        with pytest.raises(ValueError, match="need finite x_min < x_max"):
+            figure1_table(x_min, x_max, 11, [1.0])
+
+
+class TestSymbolVectors:
+    def test_default_init_negative_symbol(self):
+        with pytest.raises(ValueError, match=r"observations must lie in \[0, inf\)"):
+            fm.default_init([-1, 0, 1], 2, fm.CATEGORICAL)
+
+    def test_default_init_symbol_beyond_n_symbols(self):
+        with pytest.raises(ValueError, match=r"observations must lie in \[0, 2\)"):
+            fm.default_init([0, 1, 2], 2, fm.CATEGORICAL, n_symbols=2)
+
+    def test_sample_pair_negative_symbol(self):
+        with pytest.raises(ValueError, match=r"samples_q must lie in \[0, inf\)"):
+            fm.SamplePair([0, 1], [0, -1])
+
+
+class TestOracleInputs:
+    def test_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="l must be one-dimensional"):
+            fm.make_oracle("linear", [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("name", ["linear", "quadratic-to-target", "entropy-regularized-linear"])
+    def test_empty_and_non_finite_vectors(self, name):
+        with pytest.raises(ValueError, match="at least one entry"):
+            fm.make_oracle(name, [])
+        with pytest.raises(ValueError, match="must be finite"):
+            fm.make_oracle(name, [0.0, np.nan])
+
+    def test_make_oracle_does_not_run_the_gradient_check(self, monkeypatch):
+        def fail(oracle):
+            raise AssertionError("validate_gradient was called")
+
+        monkeypatch.setattr(femin.mirror_descent, "validate_gradient", fail)
+        oracle = fm.make_oracle("quadratic-to-target", [0.3, 0.7])
+        assert oracle.dimension == 2
+
+
+class TestAlphabetSizes:
+    """Every alphabet mismatch raises DimensionMismatch, as kl_divergence does."""
+
+    def test_problem_prior(self):
+        penalty = fm.ComplexityPenalty.kl_to_prior(fm.FiniteDistribution.uniform(3))
+        with pytest.raises(fm.DimensionMismatch):
+            fm.FreeEnergyProblem(fm.LossVector([0.0, 1.0]), 1.0, penalty)
+
+    def test_free_energy_q(self):
+        problem = fm.FreeEnergyProblem(fm.LossVector([0.0, 1.0]), 1.0, fm.ComplexityPenalty.neg_entropy())
+        with pytest.raises(fm.DimensionMismatch):
+            fm.free_energy(problem, fm.FiniteDistribution.uniform(3))
+
+    def test_elbo(self):
+        with pytest.raises(fm.DimensionMismatch):
+            fm.elbo(fm.UnnormalizedModel([0.0, 1.0]), fm.FiniteDistribution.uniform(3))
+
+    def test_dv_population_and_optimum(self):
+        p, q = fm.FiniteDistribution.uniform(2), fm.FiniteDistribution.uniform(3)
+        with pytest.raises(fm.DimensionMismatch):
+            fm.dv_objective_population(fm.TabularFunction.zeros(2), p, q)
+        with pytest.raises(fm.DimensionMismatch):
+            fm.exact_dv_optimum(p, q)
+
+    def test_learning_problem(self):
+        table = np.full((2, 3), 0.5)
+        two, three = fm.FiniteDistribution.uniform(2), fm.FiniteDistribution.uniform(3)
+        with pytest.raises(fm.DimensionMismatch):
+            fm.LearningProblem(table, 0.0, 1.0, three, three)
+        with pytest.raises(fm.DimensionMismatch):
+            fm.LearningProblem(table, 0.0, 1.0, two, two)
+
+    def test_maxent_features(self):
+        with pytest.raises(fm.DimensionMismatch):
+            fm.solve_maxent([fm.MomentConstraint([0.0, 1.0, 2.0], 1.0)], 4)
+
+    def test_descent_start(self):
+        with pytest.raises(fm.DimensionMismatch):
+            fm.run_descent(fm.make_oracle("linear", [0.0, 1.0]), fm.FiniteDistribution.uniform(3))
+
+    def test_figure1_loss_table(self):
+        with pytest.raises(fm.DimensionMismatch):
+            figure1_table(-1.0, 1.0, 11, [1.0], loss=np.zeros(12))

@@ -17,8 +17,13 @@ edge; its lines hash stderr too, after stdout. The limit part runs three
 step sizes or inverse temperatures near the largest double: a
 multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
 `pacbayes` at beta = 1e308 with losses in [2, 3]; its lines hash stdout and
-stderr. Warnings are printed as `<category>: <message>`, without the file
-and line that raised them, so stderr hashes compare across checkouts. All
+stderr. The input part runs seven inputs that the CLI must reject with
+exit 3 and a JSON error (empty `--l`, `--target` and `--x0`, `klest --lr
+inf` and `--alphabet-size 0`, `maxent --alphabet-size` off the features'
+size, `figure1 --x-max=inf`); its lines hash stdout and stderr together,
+so a changed error message shows. Warnings are printed as
+`<category>: <message>`, without the file and line that raised them, so
+stderr hashes compare across checkouts. All
 use femin from the `src/` next to this file and one BLAS thread. Run it on two checkouts and diff the
 results to see which outputs moved:
 
@@ -187,6 +192,29 @@ def limit_lines():
         yield f"limit {name} {code} {digest(out)} {digest(err)}"
 
 
+KLEST_FILES = {"p.csv": "0\n1\n1\n2\n", "q.csv": "0\n2\n1\n0\n"}
+KLEST = ["klest", "--samples-p", "p.csv", "--samples-q", "q.csv"]
+INPUT_CASES = (
+    ("mirror-empty-l", {}, ["mirror", "--l="]),
+    ("mirror-empty-target", {}, ["mirror", "--oracle", "quadratic-to-target", "--target="]),
+    ("mirror-empty-x0", {}, ["mirror", "--l=0,1", "--x0="]),
+    ("klest-lr-inf", KLEST_FILES, [*KLEST, "--lr", "inf"]),
+    ("klest-alphabet-size-0", KLEST_FILES, [*KLEST, "--alphabet-size", "0"]),
+    (
+        "maxent-alphabet-size-5",
+        {"constraints.json": json.dumps({"features": [[0, 1, 2]], "targets": [1.2]})},
+        ["maxent", "--constraints", "constraints.json", "--alphabet-size", "5"],
+    ),
+    ("figure1-x-max-inf", {}, ["figure1", "--x-max=inf"]),
+)
+
+
+def input_lines():
+    for name, files, argv in INPUT_CASES:
+        code, out, err = run_in_tempdir(files, argv)
+        yield f"input {name} {code} {digest(out + err)}"
+
+
 def demo_lines():
     env = {**os.environ, **THREADS, "PYTHONPATH": str(ROOT / "src")}
     for path in sorted((ROOT / "demos").glob("*.py")):
@@ -198,7 +226,7 @@ def demo_lines():
 
 
 def main() -> int:
-    for line in (*cli_lines(), *demo_lines(), *em_lines(), *maxent_lines(), *limit_lines()):
+    for line in (*cli_lines(), *demo_lines(), *em_lines(), *maxent_lines(), *limit_lines(), *input_lines()):
         print(line)
     return 0
 
