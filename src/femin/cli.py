@@ -1,4 +1,4 @@
-"""Command-line interface: one subcommand per capability.
+"""Command-line interface: one subcommand per capability; the file schemas are read and written here only.
 
 Exit codes: 0 success, 2 malformed input (bad flags, unreadable files,
 broken JSON/CSV, missing schema keys), 3 domain errors (invalid values,
@@ -13,19 +13,20 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import figure1 as fig
 from .errors import FeminError
-from .free_energy import FreeEnergyProblem, fenchel_young_gap, minimize_closed_form
+from .free_energy import ComplexityPenalty, FreeEnergyProblem, fenchel_young_gap, minimize_closed_form
 from .gen_bayes import UnnormalizedModel, elbo, log_partition, posterior
 from .kl_estimate import LinearFeaturesFunction, SamplePair, TabularFunction, fit_dv
-from .latent_em import CATEGORICAL, MixtureModel, em_fit
+from .latent_em import CATEGORICAL, GAUSSIAN1D, MixtureModel, em_fit
 from .maxent import MomentConstraint, solve_maxent
 from .mirror_descent import make_oracle, run_descent
 from .pac_bayes import LearningProblem, coverage_experiment
-from .simplex import FiniteDistribution, _require_same_size
+from .simplex import FiniteDistribution, LossVector, _require_same_size
 
 SCHEMA_VERSION = 1
 
@@ -81,6 +82,57 @@ def _from_dict(factory, data, what):
         raise InputError(f"malformed {what}: {exc!r}") from exc
 
 
+# Readers of the JSON input schemas for _from_dict: the first bad field, in schema order, decides the error.
+def _read_problem(data) -> FreeEnergyProblem:
+    loss = LossVector(np.asarray(data["losses"], dtype=float))
+    temperature = float(data["temperature"])
+    penalty = data["penalty"]
+    if not isinstance(penalty, dict):
+        raise InputError("malformed problem file: penalty must be a JSON object")
+    prior = penalty.get("prior")
+    if prior is not None:
+        prior = FiniteDistribution(np.asarray(prior, dtype=float))
+    return FreeEnergyProblem(loss, temperature, ComplexityPenalty(penalty["kind"], prior))
+
+
+def _read_distribution(data) -> FiniteDistribution:
+    return FiniteDistribution(np.asarray(data["probs"], dtype=float))
+
+
+def _read_model(data) -> UnnormalizedModel:
+    return UnnormalizedModel(np.asarray(data["log_tilde_p"], dtype=float))
+
+
+def _read_mixture(data) -> MixtureModel:
+    weights = FiniteDistribution(np.asarray(data["weights"], dtype=float))
+    family = data["family"]
+    if family == CATEGORICAL:
+        return MixtureModel.categorical(weights, data["emissions"])
+    if family == GAUSSIAN1D:
+        emissions = data["emissions"]
+        return MixtureModel.gaussian1d(weights, emissions["means"], emissions["vars"])
+    raise ValueError(f"unknown mixture family {family!r}")
+
+
+def _read_learning_problem(data) -> LearningProblem:
+    return LearningProblem(
+        np.asarray(data["loss_table"], dtype=float),
+        float(data["a"]),
+        float(data["b"]),
+        FiniteDistribution(np.asarray(data["prior"], dtype=float)),
+        FiniteDistribution(np.asarray(data["data_model"], dtype=float)),
+    )
+
+
+def _write_mixture(model: MixtureModel) -> dict:
+    """The mixture schema that _read_mixture reads."""
+    if model.kind == CATEGORICAL:
+        emissions = model.emissions.tolist()
+    else:
+        emissions = {"means": model.means.tolist(), "vars": model.variances.tolist()}
+    return {"weights": model.weights.probs.tolist(), "family": model.kind, "emissions": emissions}
+
+
 def _load_csv_column(path, dtype):
     values = []
     try:
@@ -105,6 +157,14 @@ def _parse_number_list(text, flag):
         return [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise InputError(f"{flag} must be a comma-separated number list, got {text!r}") from exc
+
+
+def _tolerance(text: str) -> float:
+    """The --tol type: a finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -143,11 +203,13 @@ def _emit_csv(header, rows, args) -> None:
 
 
 def cmd_solve(args) -> None:
-    problem = _from_dict(FreeEnergyProblem.from_dict, _load_json(args.problem), "problem file")
+    problem = _from_dict(_read_problem, _load_json(args.problem), "problem file")
     solution = minimize_closed_form(problem)
-    payload = {"solution": solution.to_dict()}
+    payload = {"solution": {"q_opt": solution.q_opt.probs.tolist(), "j_opt": solution.j_opt}}
+    if solution.tau is not None:
+        payload["solution"]["tau"] = solution.tau
     if args.q is not None:
-        q = _from_dict(FiniteDistribution.from_dict, _load_json(args.q), "q file")
+        q = _from_dict(_read_distribution, _load_json(args.q), "q file")
         payload["fenchel_young_gap"] = fenchel_young_gap(problem, q)
     _emit_json(payload, args)
 
@@ -180,7 +242,7 @@ def cmd_maxent(args) -> None:
 
 
 def cmd_posterior(args) -> None:
-    model = _from_dict(UnnormalizedModel.from_dict, _load_json(args.model), "model file")
+    model = _from_dict(_read_model, _load_json(args.model), "model file")
     _emit_json(
         {"posterior": posterior(model).probs.tolist(), "log_partition": log_partition(model)},
         args,
@@ -188,15 +250,15 @@ def cmd_posterior(args) -> None:
 
 
 def cmd_elbo(args) -> None:
-    model = _from_dict(UnnormalizedModel.from_dict, _load_json(args.model), "model file")
-    q = _from_dict(FiniteDistribution.from_dict, _load_json(args.q), "q file")
+    model = _from_dict(_read_model, _load_json(args.model), "model file")
+    q = _from_dict(_read_distribution, _load_json(args.q), "q file")
     bound = elbo(model, q)
     log_z = log_partition(model)
     _emit_json({"elbo": bound, "log_partition": log_z, "gap": log_z - bound}, args)
 
 
 def cmd_em(args) -> None:
-    init = _from_dict(MixtureModel.from_dict, _load_json(args.model), "model file")
+    init = _from_dict(_read_mixture, _load_json(args.model), "model file")
     data = _load_csv_column(args.data, float)
     if init.kind == CATEGORICAL:
         if not np.all(data == np.round(data)):
@@ -204,16 +266,16 @@ def cmd_em(args) -> None:
         data = data.astype(np.int64)
     model, trace = em_fit(init, data, tol=args.tol, max_iter=args.max_iter)
     _emit_json(
-        {"model": model.to_dict(), "trace": trace.tolist(), "iterations": len(trace)}, args
+        {"model": _write_mixture(model), "trace": trace.tolist(), "iterations": len(trace)}, args
     )
 
 
 def cmd_pacbayes(args) -> None:
-    problem = _from_dict(LearningProblem.from_dict, _load_json(args.problem), "problem file")
+    problem = _from_dict(_read_learning_problem, _load_json(args.problem), "problem file")
     report = coverage_experiment(
         problem, beta=args.beta, m=args.m, delta=args.delta, trials=args.trials, seed=args.seed
     )
-    _emit_json({"report": report.to_dict()}, args)
+    _emit_json({"report": asdict(report)}, args)
 
 
 def cmd_klest(args) -> None:
@@ -295,7 +357,7 @@ def _add_common(parser) -> None:
     parser.add_argument("--output", default=None, help="write the artifact here (default: stdout)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     # no default here: a subcommand's set_defaults(tol=...) gives it, else None
-    parser.add_argument("--tol", type=float, help="tolerance override")
+    parser.add_argument("--tol", type=_tolerance, help="tolerance override, finite and >= 0")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
 

@@ -86,19 +86,6 @@ class ComplexityPenalty:
             return kl_divergence(q, self.prior)
         return half_sq_l2(q, self.prior)
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.prior is not None:
-            out["prior"] = self.prior.probs.tolist()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ComplexityPenalty":
-        prior = data.get("prior")
-        if prior is not None:
-            prior = FiniteDistribution(np.asarray(prior, dtype=float))
-        return cls(data["kind"], prior)
-
 
 @dataclass(frozen=True)
 class FreeEnergyProblem:
@@ -117,21 +104,6 @@ class FreeEnergyProblem:
     def alphabet_size(self) -> int:
         return self.loss.alphabet_size
 
-    def to_dict(self) -> dict:
-        return {
-            "losses": self.loss.losses.tolist(),
-            "temperature": self.temperature,
-            "penalty": self.penalty.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FreeEnergyProblem":
-        return cls(
-            LossVector(np.asarray(data["losses"], dtype=float)),
-            float(data["temperature"]),
-            ComplexityPenalty.from_dict(data["penalty"]),
-        )
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -140,12 +112,6 @@ class Solution:
     q_opt: FiniteDistribution
     j_opt: float
     tau: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {"q_opt": self.q_opt.probs.tolist(), "j_opt": self.j_opt}
-        if self.tau is not None:
-            out["tau"] = self.tau
-        return out
 
 
 def free_energy(problem: FreeEnergyProblem, q: FiniteDistribution) -> float:

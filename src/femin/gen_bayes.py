@@ -30,13 +30,6 @@ class UnnormalizedModel:
     def alphabet_size(self) -> int:
         return self.log_tilde_p.size
 
-    def to_dict(self) -> dict:
-        return {"log_tilde_p": self.log_tilde_p.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UnnormalizedModel":
-        return cls(np.asarray(data["log_tilde_p"], dtype=float))
-
 
 def log_partition(model: UnnormalizedModel) -> float:
     """log Z = log sum_x p~(x)."""

@@ -85,25 +85,6 @@ class MixtureModel:
             raise ValueError("n_symbols applies to categorical mixtures only")
         return self.emissions.shape[1]
 
-    def to_dict(self) -> dict:
-        out = {"weights": self.weights.probs.tolist(), "family": self.kind}
-        if self.kind == CATEGORICAL:
-            out["emissions"] = self.emissions.tolist()
-        else:
-            out["emissions"] = {"means": self.means.tolist(), "vars": self.variances.tolist()}
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MixtureModel":
-        weights = FiniteDistribution(np.asarray(data["weights"], dtype=float))
-        family = data["family"]
-        if family == CATEGORICAL:
-            return cls.categorical(weights, data["emissions"])
-        if family == GAUSSIAN1D:
-            em = data["emissions"]
-            return cls.gaussian1d(weights, em["means"], em["vars"])
-        raise ValueError(f"unknown mixture family {family!r}")
-
 
 def _check_data(model: MixtureModel, data) -> np.ndarray:
     return _observations(model.kind, data, model.n_symbols if model.kind == CATEGORICAL else None)

@@ -9,7 +9,7 @@ of randomness in a coverage experiment is the draw of the training sets.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .errors import EmptyTrainingSet, NonPositivePrior
 from .free_energy import KL_TO_PRIOR, _tilt
 from .simplex import SUPPORT_EPS, FiniteDistribution, kl_divergence, log_sum_exp
 from .simplex import _check_count, _kl, _positive, _require_same_size, _symbol_indices
+
+_MAX_WIDTH = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,7 @@ class LearningProblem:
         table = np.array(self.loss_table, dtype=float, copy=True)
         if table.ndim != 2 or table.size == 0:
             raise ValueError("loss_table must be a nonempty 2-D table")
-        a, b = float(self.a), float(self.b)
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
+        a, b = _check_range(self.a, self.b)
         if not np.all(np.isfinite(table)):
             raise ValueError("losses must be finite")
         if table.min() < a or table.max() > b:
@@ -63,24 +63,13 @@ class LearningProblem:
     def n_outcomes(self) -> int:
         return self.loss_table.shape[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "loss_table": self.loss_table.tolist(),
-            "a": self.a,
-            "b": self.b,
-            "prior": self.prior.probs.tolist(),
-            "data_model": self.data_model.probs.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LearningProblem":
-        return cls(
-            np.asarray(data["loss_table"], dtype=float),
-            float(data["a"]),
-            float(data["b"]),
-            FiniteDistribution(np.asarray(data["prior"], dtype=float)),
-            FiniteDistribution(np.asarray(data["data_model"], dtype=float)),
-        )
+def _check_range(a, b) -> tuple[float, float]:
+    """The loss range as floats: finite a < b whose (b - a)^2, in the bound, is finite."""
+    a, b = float(a), float(b)
+    if not (np.isfinite(a) and a < b and b - a <= _MAX_WIDTH):
+        raise ValueError(f"need finite a < b with a finite (b - a)^2, got a={a!r}, b={b!r}")
+    return a, b
 
 
 def _check_delta(delta) -> float:
@@ -131,18 +120,16 @@ def pac_bayes_bound(kl: float, m: int, delta: float, a: float, b: float) -> floa
     any posterior with the given KL to the prior, for losses in [a, b].
     """
     kl = float(kl)
-    a, b = float(a), float(b)
     if kl < 0 or not np.isfinite(kl):
         raise ValueError(f"kl must be finite and >= 0, got {kl!r}")
     m = _check_count(m, "m", 1)
     delta = _check_delta(delta)
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
+    a, b = _check_range(a, b)
     return _bound(kl, m, delta, a, b)
 
 
 def _bound(kl: float, m: int, delta: float, a: float, b: float) -> float:
-    return float(np.sqrt((b - a) ** 2 / (2.0 * m) * (kl + np.log(1.0 / delta))))
+    return float(np.sqrt((b - a) ** 2 / (2.0 * m) * (kl - np.log(delta))))
 
 
 @dataclass(frozen=True)
@@ -156,9 +143,6 @@ class CoverageReport:
     beta: float
     m: int
     delta: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def coverage_experiment(

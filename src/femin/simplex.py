@@ -116,13 +116,6 @@ class FiniteDistribution:
             raise ValueError("weights must have a positive sum")
         return cls(w / total)
 
-    def to_dict(self) -> dict:
-        return {"probs": self.probs.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FiniteDistribution":
-        return cls(np.asarray(data["probs"], dtype=float))
-
 
 @dataclass(frozen=True)
 class LossVector:
@@ -136,13 +129,6 @@ class LossVector:
     @property
     def alphabet_size(self) -> int:
         return self.losses.size
-
-    def to_dict(self) -> dict:
-        return {"losses": self.losses.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LossVector":
-        return cls(np.asarray(data["losses"], dtype=float))
 
 
 def entropy(q: FiniteDistribution) -> float:

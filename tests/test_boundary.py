@@ -2,9 +2,12 @@
 
 Every public entry checks its arguments once, through the helpers in
 femin.simplex: counts, finite positive scalars, symbol vectors and alphabet
-sizes. The CLI sweep runs every numeric or list flag of every subcommand at
-edge values through femin.cli.main; each run must end in exit 0, 2 or 3,
-with a JSON error on stderr when it is not 0, and raise no numpy warning.
+sizes. Two CLI sweeps run through femin.cli.main: one sets every numeric or
+list flag of every subcommand to edge values, the other puts edge values in
+place of every field, and of every list's first entry, of each JSON input
+file. Each run must end in exit 0, 2 or 3, with a JSON error on stderr when
+it is not 0, and raise no numpy warning beyond the file sweep's
+KNOWN_WARNINGS.
 """
 
 import io
@@ -49,6 +52,23 @@ def assert_domain_error(argv, message):
     assert message in json.loads(err)["message"], err
 
 
+# The JSON inputs of the base commands, by the name the inputs fixture gives their files.
+JSON_INPUTS = {
+    "problem": {"losses": [0.0, 1.0, 0.5], "temperature": 1.0, "penalty": {"kind": "kl", "prior": [0.2, 0.3, 0.5]}},
+    "q": {"probs": [0.5, 0.25, 0.25]},
+    "constraints": {"features": [[0.0, 1.0, 2.0]], "targets": [1.2]},
+    "model": {"log_tilde_p": [0.0, 1.0, -1.0]},
+    "init": {"weights": [0.5, 0.5], "family": "gaussian1d", "emissions": {"means": [-1.0, 1.0], "vars": [1.0, 1.0]}},
+    "learning": {
+        "loss_table": [[0.1, 0.9], [0.6, 0.3], [0.4, 0.5]],
+        "a": 0.0,
+        "b": 1.0,
+        "prior": [0.3, 0.3, 0.4],
+        "data_model": [0.4, 0.6],
+    },
+}
+
+
 @pytest.fixture
 def inputs(tmp_path):
     def write(name, text):
@@ -58,35 +78,10 @@ def inputs(tmp_path):
 
     rng = np.random.default_rng(5)
     y = np.concatenate([rng.normal(-2.0, 0.5, 15), rng.normal(2.0, 0.5, 15)])
+    files = {name: write(f"{name}.json", json.dumps(doc)) for name, doc in JSON_INPUTS.items()}
     return {
-        "problem": write(
-            "problem.json",
-            json.dumps(
-                {"losses": [0.0, 1.0, 0.5], "temperature": 1.0, "penalty": {"kind": "kl", "prior": [0.2, 0.3, 0.5]}}
-            ),
-        ),
-        "q": write("q.json", json.dumps({"probs": [0.5, 0.25, 0.25]})),
-        "constraints": write("constraints.json", json.dumps({"features": [[0.0, 1.0, 2.0]], "targets": [1.2]})),
-        "model": write("model.json", json.dumps({"log_tilde_p": [0.0, 1.0, -1.0]})),
-        "init": write(
-            "init.json",
-            json.dumps(
-                {"weights": [0.5, 0.5], "family": "gaussian1d", "emissions": {"means": [-1.0, 1.0], "vars": [1.0, 1.0]}}
-            ),
-        ),
+        **files,
         "data": write("data.csv", "".join(f"{v!r}\n" for v in y.tolist())),
-        "learning": write(
-            "learning.json",
-            json.dumps(
-                {
-                    "loss_table": [[0.1, 0.9], [0.6, 0.3], [0.4, 0.5]],
-                    "a": 0.0,
-                    "b": 1.0,
-                    "prior": [0.3, 0.3, 0.4],
-                    "data_model": [0.4, 0.6],
-                }
-            ),
-        ),
         "samples_p": write("samples_p.csv", "0\n1\n1\n2\n2\n2\n"),
         "samples_q": write("samples_q.csv", "0\n0\n1\n2\n1\n0\n"),
     }
@@ -146,6 +141,62 @@ def test_cli_edge_value_sweep(inputs):
                 assert_clean_exit(case, code, err, caught)
 
 
+FILE_EDGE_VALUES = ([], {}, 0, -1, 1e308, -1e308, 5e-324, "x", None, True, [[1.0]])
+# (command, input, position, value) runs of the file sweep that still raise a
+# RuntimeWarning; each is a FOUND line in CHANGES.md. Any other warning fails.
+KNOWN_WARNINGS = {
+    ("maxent", "constraints", ("features", 0, 0), "1e+308"),
+    ("maxent", "constraints", ("features", 0, 0), "-1e+308"),
+    ("em", "init", ("emissions", "means", 0), "1e+308"),
+    ("em", "init", ("emissions", "means", 0), "-1e+308"),
+    ("em", "init", ("emissions", "vars", 0), "1e+308"),
+}
+
+
+def positions(node, path=()):
+    """The path to every field, and to the first entry of every list, in node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and node:
+        items = [(0, node[0])]
+    else:
+        return
+    for key, value in items:
+        yield (*path, key)
+        yield from positions(value, (*path, key))
+
+
+def replaced(node, path, value):
+    """A copy of node with the entry at path set to value."""
+    if not path:
+        return value
+    copy = list(node) if isinstance(node, list) else dict(node)
+    copy[path[0]] = replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def test_cli_input_file_sweep(inputs, tmp_path):
+    fuzzed = tmp_path / "fuzzed.json"
+    names = {inputs[name]: name for name in JSON_INPUTS}
+    warned = set()
+    commands = [argv for argv, _ in base_commands(inputs)]
+    cases = [(argv, i, names[token]) for argv in commands for i, token in enumerate(argv) if token in names]
+    for argv, i, name in cases:
+        for path in positions(JSON_INPUTS[name]):
+            for value in FILE_EDGE_VALUES:
+                label = (argv[0], name, path, json.dumps(value))
+                fuzzed.write_text(json.dumps(replaced(JSON_INPUTS[name], path, value)))
+                try:
+                    code, _, err, caught = run_main([*argv[:i], fuzzed, *argv[i + 1 :]])
+                except Exception as exc:
+                    pytest.fail(f"{label} raised {exc!r}")
+                if label in KNOWN_WARNINGS:
+                    warned.add(label)
+                    caught = [w for w in caught if not issubclass(w.category, RuntimeWarning)]
+                assert_clean_exit(label, code, err, caught)
+    assert warned == KNOWN_WARNINGS
+
+
 class TestCliDefectInputs:
     def test_empty_oracle_vector(self):
         assert_domain_error(["mirror", "--l="], "l must have at least one entry")
@@ -173,6 +224,27 @@ class TestCliDefectInputs:
     @pytest.mark.parametrize("flag", ["--x-max=inf", "--x-min=-inf", "--x-max=nan"])
     def test_figure1_range_must_be_finite(self, flag):
         assert_domain_error(["figure1", flag], "need finite x_min < x_max")
+
+    @pytest.mark.parametrize(("a", "b"), [(-1e308, 1.0), (0.0, 1e308), (-1e308, 1e308)])
+    def test_loss_range_whose_square_overflows(self, tmp_path, a, b):
+        problem = tmp_path / "learning.json"
+        problem.write_text(json.dumps({**JSON_INPUTS["learning"], "a": a, "b": b}))
+        argv = ["pacbayes", "--problem", problem, "--beta", "2", "--m", "5", "--delta", "0.1", "--trials", "100"]
+        assert_domain_error(argv, "need finite a < b with a finite (b - a)^2")
+        with pytest.raises(ValueError, match=r"finite \(b - a\)\^2"):
+            fm.pac_bayes_bound(0.5, 10, 0.05, a, b)
+
+    def test_subnormal_delta(self, inputs):
+        argv = ["pacbayes", "--problem", inputs["learning"], "--beta", "2", "--m", "5", "--delta", "5e-324"]
+        code, out, err, caught = run_main([*argv, "--trials", "100"])
+        assert code == 0 and err == "" and not caught, err
+        assert fm.pac_bayes_bound(0.0, 1, 5e-324, 0.0, 1.0) == np.sqrt(0.5 * -np.log(5e-324))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-5e-324"])
+    def test_tol_must_be_finite_and_nonnegative(self, inputs, value):
+        code, out, err, _ = run_main(["solve", "--problem", inputs["problem"], f"--tol={value}"])
+        assert code == 2 and out == "", err
+        assert json.loads(err)["message"] == f"argument --tol: expected a finite number >= 0, got {value!r}"
 
     def test_unwritable_output_is_an_input_error(self, inputs, tmp_path):
         argv = ["posterior", "--model", inputs["model"], "--output", str(tmp_path / "missing" / "out.json")]

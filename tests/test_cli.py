@@ -7,6 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import femin.cli
+from femin import FiniteDistribution, MixtureModel
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -295,6 +298,67 @@ class TestSubcommands:
             column = data[:, col]
             assert column.sum() == 1.0
             assert np.all(column[data[:, 1] > data[:, 1].min()] == 0.0)
+
+
+class TestFileSchemas:
+    """The JSON schemas are read and written by femin.cli alone."""
+
+    def test_distribution_round_trip(self):
+        data = {"probs": [0.1, 0.2, 0.7]}
+        assert femin.cli._read_distribution(data).probs.tolist() == data["probs"]
+
+    def test_problem_round_trip(self, tmp_path, capsys):
+        data = {"losses": [1.0, -2.0], "temperature": 1.5, "penalty": {"kind": "kl", "prior": [0.25, 0.75]}}
+        problem = femin.cli._read_problem(data)
+        assert problem.loss.losses.tolist() == data["losses"]
+        assert problem.temperature == data["temperature"]
+        assert problem.penalty.kind == "kl" and problem.penalty.prior.probs.tolist() == [0.25, 0.75]
+
+        def solution_keys(penalty):
+            path = write_json(tmp_path / "p.json", {**data, "penalty": penalty})
+            assert femin.cli.main(["solve", "--problem", path]) == 0
+            return set(json.loads(capsys.readouterr().out)["solution"])
+
+        assert solution_keys(data["penalty"]) == {"q_opt", "j_opt"}
+        assert solution_keys({"kind": "half_sq_l2", "prior": [0.5, 0.5]}) == {"q_opt", "j_opt", "tau"}
+
+    def test_penalty_must_be_an_object(self):
+        for penalty in ([], [1.0], 0):
+            data = {"losses": [0.0, 1.0], "temperature": 1.0, "penalty": penalty}
+            with pytest.raises(femin.cli.InputError, match="penalty must be a JSON object"):
+                femin.cli._from_dict(femin.cli._read_problem, data, "problem file")
+
+    def test_model_round_trip(self):
+        data = {"log_tilde_p": [0.5, -1.5]}
+        assert femin.cli._read_model(data).log_tilde_p.tolist() == data["log_tilde_p"]
+
+    def test_mixture_round_trip_both_families(self):
+        cat = MixtureModel.categorical(FiniteDistribution([0.3, 0.7]), [[0.2, 0.8], [0.9, 0.1]])
+        data = femin.cli._write_mixture(cat)
+        assert data == {"weights": [0.3, 0.7], "family": "categorical", "emissions": [[0.2, 0.8], [0.9, 0.1]]}
+        again = femin.cli._read_mixture(data)
+        assert again.kind == "categorical" and np.array_equal(again.emissions, cat.emissions)
+
+        gauss = MixtureModel.gaussian1d(FiniteDistribution([0.5, 0.5]), [0.0, 1.0], [1.0, 2.0])
+        data = femin.cli._write_mixture(gauss)
+        assert data["family"] == "gaussian1d"
+        assert data["emissions"] == {"means": [0.0, 1.0], "vars": [1.0, 2.0]}
+        again = femin.cli._read_mixture(data)
+        assert np.array_equal(again.means, gauss.means) and np.array_equal(again.variances, gauss.variances)
+
+    def test_learning_problem_round_trip(self):
+        data = {
+            "loss_table": [[0.1, 0.9], [0.6, 0.3]],
+            "a": 0.0,
+            "b": 1.0,
+            "prior": [0.5, 0.5],
+            "data_model": [0.4, 0.6],
+        }
+        problem = femin.cli._read_learning_problem(data)
+        assert problem.loss_table.tolist() == data["loss_table"]
+        assert problem.a == data["a"] and problem.b == data["b"]
+        assert problem.prior.probs.tolist() == data["prior"]
+        assert problem.data_model.probs.tolist() == data["data_model"]
 
 
 class TestExitCodes:

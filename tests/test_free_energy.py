@@ -518,20 +518,3 @@ class TestGibbsInvariances:
         problem = neg_entropy_problem([0.3, 0.9, 0.1], t=1e-4)
         sol = minimize_closed_form(problem)
         assert sol.q_opt.probs[2] >= 1.0 - 1e-6
-
-
-def test_problem_json_round_trip():
-    problem = kl_problem([0.0, 2.0], [0.25, 0.75], t=1.5)
-    data = problem.to_dict()
-    assert data["penalty"] == {"kind": "kl", "prior": [0.25, 0.75]}
-    again = FreeEnergyProblem.from_dict(data)
-    assert np.array_equal(again.loss.losses, problem.loss.losses)
-    assert again.temperature == problem.temperature
-    assert again.penalty.kind == problem.penalty.kind
-
-    sol = minimize_closed_form(problem)
-    payload = sol.to_dict()
-    assert set(payload) == {"q_opt", "j_opt"}
-
-    l2 = minimize_closed_form(l2_problem([0.0, 1.0], [0.5, 0.5]))
-    assert set(l2.to_dict()) == {"q_opt", "j_opt", "tau"}

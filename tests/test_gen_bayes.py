@@ -144,9 +144,3 @@ class TestMeanFieldCoordinateAscent:
             mean_field_coordinate_ascent(np.zeros(4))
         with pytest.raises(ValueError):
             mean_field_coordinate_ascent(np.array([[np.inf, 0.0], [0.0, 0.0]]))
-
-
-def test_model_json_round_trip():
-    model = UnnormalizedModel([0.5, -1.5])
-    assert model.to_dict() == {"log_tilde_p": [0.5, -1.5]}
-    assert np.array_equal(UnnormalizedModel.from_dict(model.to_dict()).log_tilde_p, model.log_tilde_p)

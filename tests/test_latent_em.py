@@ -523,15 +523,3 @@ class TestModelValidation:
     def test_variance_floor_enforced_at_construction(self):
         with pytest.raises(ValueError):
             MixtureModel.gaussian1d(FiniteDistribution([1.0]), [0.0], [1e-9])
-
-    def test_json_round_trip_both_families(self):
-        cat = MixtureModel.categorical(FiniteDistribution([0.3, 0.7]), [[0.2, 0.8], [0.9, 0.1]])
-        assert cat.to_dict()["family"] == "categorical"
-        again = MixtureModel.from_dict(cat.to_dict())
-        assert np.array_equal(again.emissions, cat.emissions)
-
-        gauss = two_gaussians((0.0, 1.0), (1.0, 2.0))
-        payload = gauss.to_dict()
-        assert payload["emissions"] == {"means": [0.0, 1.0], "vars": [1.0, 2.0]}
-        again = MixtureModel.from_dict(payload)
-        assert np.array_equal(again.means, gauss.means)

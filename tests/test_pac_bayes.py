@@ -344,9 +344,3 @@ class TestProblemValidation:
             LearningProblem(
                 np.zeros((2, 2)), -1.0, 1.0, FiniteDistribution([1.0, 0.0]), FiniteDistribution.uniform(2)
             )
-
-    def test_json_round_trip(self):
-        problem = small_problem()
-        again = LearningProblem.from_dict(problem.to_dict())
-        assert np.array_equal(again.loss_table, problem.loss_table)
-        assert again.a == problem.a and again.b == problem.b

@@ -88,15 +88,9 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 0.5
 
-    def test_json_round_trip(self):
-        d = FiniteDistribution([0.1, 0.2, 0.7])
-        assert d.to_dict() == {"probs": [0.1, 0.2, 0.7]}
-        assert np.array_equal(FiniteDistribution.from_dict(d.to_dict()).probs, d.probs)
-
     def test_loss_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LossVector([1.0, np.inf])
-        assert LossVector([1.0, -2.0]).to_dict() == {"losses": [1.0, -2.0]}
 
 
 class TestEntropy:

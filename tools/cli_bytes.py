@@ -17,11 +17,12 @@ edge; its lines hash stderr too, after stdout. The limit part runs three
 step sizes or inverse temperatures near the largest double: a
 multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
 `pacbayes` at beta = 1e308 with losses in [2, 3]; its lines hash stdout and
-stderr. The input part runs seven inputs that the CLI must reject with
-exit 3 and a JSON error (empty `--l`, `--target` and `--x0`, `klest --lr
-inf` and `--alphabet-size 0`, `maxent --alphabet-size` off the features'
-size, `figure1 --x-max=inf`); its lines hash stdout and stderr together,
-so a changed error message shows. Warnings are printed as
+stderr. The input part runs ten inputs that the CLI must reject with
+exit 2 or 3 and a JSON error (empty `--l`, `--target` and `--x0`, `klest
+--lr inf` and `--alphabet-size 0`, `maxent --alphabet-size` off the
+features' size, `figure1 --x-max=inf`, a list as `solve`'s penalty,
+`solve --tol nan`, `pacbayes` with b = 1e308); its lines hash stdout and
+stderr together, so a changed error message shows. Warnings are printed as
 `<category>: <message>`, without the file and line that raised them, so
 stderr hashes compare across checkouts. All
 use femin from the `src/` next to this file and one BLAS thread. Run it on two checkouts and diff the
@@ -89,18 +90,19 @@ def em_inputs(family, k, seed):
     if family == "gaussian1d":
         y = rng.normal(rng.uniform(-3.0 * k, 3.0 * k, k)[rng.integers(0, k, 100 * k)], 1.0)
         init = femin.default_init(y, k, family, seed=seed)
-        return init.to_dict(), "".join(f"{v!r}\n" for v in y.tolist())
+        return femin.cli._write_mixture(init), "".join(f"{v!r}\n" for v in y.tolist())
     truth = rng.dirichlet(np.full(2 * k, 0.5), k)
     comps = rng.integers(0, k, 100 * k)
     y = np.array([rng.choice(2 * k, p=truth[c]) for c in comps])
     init = femin.default_init(y, k, family, seed=seed, n_symbols=2 * k)
-    return init.to_dict(), "".join(f"{v}\n" for v in y.tolist())
+    return femin.cli._write_mixture(init), "".join(f"{v}\n" for v in y.tolist())
 
 
 def em_bench_inputs(seed):
     """The `em_fit` workload's job 0 of a seed: 5000 points, K = 3."""
     y = workloads.EmFit().make_inputs(seed, 0, ".")["y"]
-    return femin.default_init(y, 3, "gaussian1d").to_dict(), "".join(f"{v!r}\n" for v in y.tolist())
+    init = femin.default_init(y, 3, "gaussian1d")
+    return femin.cli._write_mixture(init), "".join(f"{v!r}\n" for v in y.tolist())
 
 
 def em_single_inputs(seed):
@@ -108,7 +110,7 @@ def em_single_inputs(seed):
     rng = np.random.default_rng((seed, 9, 1))
     weights = femin.FiniteDistribution(rng.dirichlet(np.ones(9)))
     init = femin.MixtureModel.gaussian1d(weights, rng.normal(0.0, 2.0, 9), rng.uniform(1.0, 4.0, 9))
-    return init.to_dict(), f"{rng.normal()!r}\n"
+    return femin.cli._write_mixture(init), f"{rng.normal()!r}\n"
 
 
 def em_runs():
@@ -206,6 +208,21 @@ INPUT_CASES = (
         ["maxent", "--constraints", "constraints.json", "--alphabet-size", "5"],
     ),
     ("figure1-x-max-inf", {}, ["figure1", "--x-max=inf"]),
+    (
+        "solve-penalty-list",
+        {"problem.json": json.dumps({"losses": [0.0, 1.0], "temperature": 1.0, "penalty": [0.2, 0.8]})},
+        ["solve", "--problem", "problem.json"],
+    ),
+    (
+        "solve-tol-nan",
+        {"problem.json": json.dumps({"losses": [0.0, 1.0], "temperature": 1.0, "penalty": {"kind": "neg_entropy"}})},
+        ["solve", "--problem", "problem.json", "--tol", "nan"],
+    ),
+    (
+        "pacbayes-b-1e308",
+        {"problem.json": json.dumps({**PACBAYES_HIGH_LOSS, "b": 1e308})},
+        ["pacbayes", "--problem", "problem.json", "--beta", "2", "--m", "10", "--delta", "0.05", "--trials", "100"],
+    ),
 )
 
 
