@@ -43,8 +43,9 @@ def scale_loss(raw: np.ndarray) -> np.ndarray:
 
 
 def grid_prior(x: np.ndarray) -> FiniteDistribution:
-    """Standard-normal density restricted to the grid and renormalized."""
-    return FiniteDistribution(gibbs(-0.5 * x**2)[0])
+    """Standard-normal density restricted to the grid and renormalized; an overflowing x**2 is a zero weight."""
+    with np.errstate(over="ignore"):
+        return FiniteDistribution(gibbs(-0.5 * x**2)[0])
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,10 @@ def figure1_table(
     if isinstance(loss, str):
         if loss not in BUILTIN_LOSSES:
             raise ValueError(f"unknown loss {loss!r}; known: {sorted(BUILTIN_LOSSES)}")
-        raw = BUILTIN_LOSSES[loss](x)
-    else:
-        raw = _as_readonly_vector(loss, "loss table")
-        _require_same_size(raw.size, n_points, "loss table and grid")
+        with np.errstate(over="ignore"):  # an overflow fails the finiteness check below
+            loss = BUILTIN_LOSSES[loss](x)
+    raw = _as_readonly_vector(loss, "loss on the grid")
+    _require_same_size(raw.size, n_points, "loss table and grid")
     table = scale_loss(raw)
     loss_vec = LossVector(table)
     prior = grid_prior(x)

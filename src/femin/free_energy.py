@@ -160,11 +160,12 @@ def _tilt(kind: str, p, losses: np.ndarray, t: float):
     base point p: link(base - (losses - min L)/t) with base = log p and link
     gibbs, (probs, log Z), for kl (p None for neg_entropy), or base = p and
     link _project, (probs, tau), for L2. Shifted by min L, so t -> 0 is
-    exact; an overflow is a zero weight."""
+    exact; an overflow is a zero weight. Gibbs tilts a table row by row; a
+    vector's min L stays a scalar, whose subtraction is the faster one."""
     with np.errstate(over="ignore"):
         if kind == HALF_SQ_L2:
             return _project(p - (losses - losses.min()) / t)
-        logits = (losses.min() - losses) / t
+        logits = (np.minimum.reduce(losses, -1, keepdims=losses.ndim > 1) - losses) / t
         if p is not None:
             logits += np.log(p)  # taken after the shift, the log's memory is free for gibbs
         return gibbs(logits)
@@ -233,17 +234,12 @@ def _grid_points(total: int, parts: int) -> np.ndarray:
 
 
 def _penalty_values_on_grid(penalty: ComplexityPenalty, grid: np.ndarray) -> np.ndarray:
-    if penalty.kind == NEG_ENTROPY:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(grid > 0, grid * np.log(grid), 0.0)
-        return terms.sum(axis=1)
-    if penalty.kind == KL_TO_PRIOR:
-        prior = penalty.prior.probs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(grid > 0, grid * np.log(grid / prior), 0.0)
-        return terms.sum(axis=1)
-    diff = grid - penalty.prior.probs
-    return 0.5 * (diff * diff).sum(axis=1)
+    if penalty.kind == HALF_SQ_L2:
+        diff = grid - penalty.prior.probs
+        return 0.5 * (diff * diff).sum(axis=1)
+    ratio = grid if penalty.kind == NEG_ENTROPY else grid / penalty.prior.probs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(grid > 0, grid * np.log(ratio), 0.0).sum(axis=1)
 
 
 def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Solution:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .free_energy import ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
 from .simplex import FiniteDistribution, LossVector, entropy, gibbs, log_sum_exp
-from .simplex import _as_readonly_vector, _check_count, _require_same_size
+from .simplex import _as_readonly_table, _as_readonly_vector, _check_count, _require_same_size
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,7 @@ def mean_field_coordinate_ascent(log_joint: np.ndarray, sweeps: int = 20):
     Returns (q1, q2, elbo_trace).
     """
     sweeps = _check_count(sweeps, "sweeps", 0)
-    table = np.asarray(log_joint, dtype=float)
-    if table.ndim != 2:
-        raise ValueError("log_joint must be a 2-D table")
-    if not np.all(np.isfinite(table)):
-        raise ValueError("log_joint must be finite")
+    table = _as_readonly_table(log_joint, "log_joint")
     flat_model = UnnormalizedModel(table.ravel())
     q1 = FiniteDistribution.uniform(table.shape[0])
     q2 = FiniteDistribution.uniform(table.shape[1])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySamples, NonFinite, SupportViolation
-from .simplex import SUPPORT_EPS, FiniteDistribution, gibbs, log_sum_exp
+from .simplex import SUPPORT_EPS, FiniteDistribution, _as_readonly_table, gibbs, log_sum_exp
 from .simplex import _as_readonly_vector, _check_count, _positive, _require_same_size, _symbol_indices
 
 
@@ -71,16 +71,10 @@ class LinearFeaturesFunction:
     weights: np.ndarray  # d
 
     def __post_init__(self):
-        features = np.array(self.features, dtype=float, copy=True)
-        weights = np.array(self.weights, dtype=float, copy=True)
-        if features.ndim != 2 or features.size == 0:
-            raise ValueError("features must be a nonempty 2-D table")
+        features = _as_readonly_table(self.features, "features")
+        weights = _as_readonly_vector(self.weights, "weights")
         if weights.shape != (features.shape[1],):
             raise ValueError(f"weights must have shape ({features.shape[1]},)")
-        if not (np.all(np.isfinite(features)) and np.all(np.isfinite(weights))):
-            raise ValueError("features and weights must be finite")
-        features.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "weights", weights)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComponentWarning, EmptyData
-from .simplex import FiniteDistribution, _as_readonly_vector, _check_count, _symbol_indices, gibbs
+from .simplex import FiniteDistribution, _as_readonly_table, _as_readonly_vector, _check_count, _symbol_indices, gibbs
 
 CATEGORICAL = "categorical"
 GAUSSIAN1D = "gaussian1d"
@@ -46,12 +46,11 @@ class MixtureModel:
         if self.kind == CATEGORICAL:
             if self.emissions is None or self.means is not None or self.variances is not None:
                 raise ValueError("categorical mixtures take an emissions table only")
-            emissions = np.array(self.emissions, dtype=float, copy=True)
-            if emissions.ndim != 2 or emissions.shape[0] != k:
+            emissions = _as_readonly_table(self.emissions, "emissions")
+            if emissions.shape[0] != k:
                 raise ValueError(f"emissions must be a {k} x V table")
             for row in emissions:
                 FiniteDistribution(row)  # validates nonnegativity and normalization
-            emissions.setflags(write=False)
             object.__setattr__(self, "emissions", emissions)
         elif self.kind == GAUSSIAN1D:
             if self.means is None or self.variances is None or self.emissions is not None:

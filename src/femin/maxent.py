@@ -81,8 +81,10 @@ def _stack_features(constraints):
         what = f"all features must share the alphabet size; features 0 and {k}"
         _require_same_size(constraints[0].feature.size, c.feature.size, what)
     features = np.vstack([c.feature for c in constraints])
-    targets = np.array([c.target for c in constraints], dtype=float)
-    return features, targets
+    with np.errstate(over="ignore"):  # Newton's fallback step divides by the largest sum
+        if not np.isfinite((features * features).sum(axis=0)).all():
+            raise ValueError("features too large: their squares summed over the constraints overflow at a symbol")
+    return features, np.array([c.target for c in constraints], dtype=float)
 
 
 def _interval_report(features, targets) -> FeasibilityReport:

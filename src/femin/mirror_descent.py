@@ -73,6 +73,9 @@ def _linear_oracle(l) -> ObjectiveOracle:
 
 def _quadratic_to_target_oracle(target) -> ObjectiveOracle:
     target = _as_readonly_vector(target, "target")
+    with np.errstate(over="ignore"):  # 0.5 ||x - target||^2 <= this on the simplex
+        if not np.isfinite(0.5 * np.square(np.abs(target) + 1.0).sum()):
+            raise ValueError("target too large: 0.5 ||x - target||^2 overflows on the simplex")
 
     def evaluate(x):
         diff = np.asarray(x, dtype=float) - target

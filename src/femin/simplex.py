@@ -32,6 +32,17 @@ def _as_readonly_vector(values, name):
     return arr
 
 
+def _as_readonly_table(values, name):
+    """Read-only float copy of a nonempty 2-D table of finite entries."""
+    arr = np.array(values, dtype=float, copy=True)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty 2-D table")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 def _symbol_indices(values, name, n=None, empty=ValueError) -> np.ndarray:
     """Read-only int64 copy of a nonempty vector of symbol indices in [0, n),
     [0, inf) if n is None; floats must be integral and at most 2**53 in size.

@@ -20,6 +20,7 @@ from femin import (
     total_variation,
     training_losses,
 )
+from femin import pac_bayes
 from femin.errors import EmptyTrainingSet
 from femin.pac_bayes import CoverageReport
 from femin.pac_bayes import test_losses as exact_test_losses
@@ -280,6 +281,40 @@ class TestCoverageExperiment:
             expected = reference_coverage(problem, beta, m, delta, 100, seed)
             assert coverage_experiment(problem, beta, m, delta, 100, seed) == expected
 
+    @pytest.mark.parametrize("n_h", [8, 9, 33])
+    def test_matches_the_reference_at_pairwise_sum_widths(self, n_h):
+        # numpy sums a row of 8 or more entries pairwise: 8 partial sums, then the rest
+        rng = np.random.default_rng(n_h)
+        for m in (1, 9, 40):
+            problem = small_problem(rng, n_h=n_h, n_z=int(rng.integers(2, 12)))
+            beta = float(rng.uniform(0.5, 50.0))
+            expected = reference_coverage(problem, beta, m, 0.1, 100, m)
+            assert coverage_experiment(problem, beta, m, 0.1, 100, m) == expected
+
+    def test_matches_the_reference_one_trial_past_a_block(self):
+        problem = small_problem(np.random.default_rng(45), n_h=8, n_z=5)
+        block = pac_bayes._BLOCK_CELLS // (5 * 8)  # trials per block at m = 5 on 8 hypotheses
+        report = coverage_experiment(problem, 3.0, 5, 0.05, block + 1, 2)
+        assert report == reference_coverage(problem, 3.0, 5, 0.05, block + 1, 2)
+
+    def test_matches_the_reference_on_point_mass_posteriors(self):
+        # at beta = 1e308 every q is a point mass (or nearly): _kl's masked sum
+        rng = np.random.default_rng(49)
+        for n_h, a, b in ((3, 2.0, 3.0), (9, 0.0, 1.0), (33, -1e150, 1e150)):
+            problem = small_problem(rng, n_h=n_h, n_z=4, a=a, b=b)
+            for beta in (1e308, 1e3):
+                expected = reference_coverage(problem, beta, 7, 0.05, 150, 1)
+                assert coverage_experiment(problem, beta, 7, 0.05, 150, 1) == expected
+
+    def test_matches_the_reference_with_a_zero_data_model_entry(self):
+        rng = np.random.default_rng(51)
+        problem = small_problem(rng, n_h=6, n_z=5)
+        probs = problem.data_model.probs.copy()
+        probs[[0, 3]] = 0.0
+        problem = LearningProblem(problem.loss_table, 0.0, 1.0, problem.prior, FiniteDistribution.normalized(probs))
+        report = coverage_experiment(problem, 2.0, 30, 0.05, 200, 4)
+        assert report == reference_coverage(problem, 2.0, 30, 0.05, 200, 4)
+
     def test_tiny_beta_keeps_the_prior(self):
         # q within rounding of the prior: its KL must not round below zero
         problem = small_problem(np.random.default_rng(43), n_h=8, n_z=5)
@@ -328,6 +363,28 @@ class TestCoverageExperiment:
             coverage_experiment(problem, 1.0, 10, 0.05, trials=100, seed=1.5)
         integral = coverage_experiment(problem, 1.0, 10, 0.05, trials=150.0, seed=2.0)
         assert integral == coverage_experiment(problem, 1.0, 10, 0.05, trials=150, seed=2)
+
+
+def test_cdf_search_is_numpys_weighted_choice():
+    """coverage_experiment draws a training set as cdf.searchsorted(rng.random(m),
+    side="right"), with cdf = cumsum(p) / its last entry: numpy's own
+    Generator.choice(n, size=m, p=p). A numpy that samples otherwise fails here."""
+    rng = np.random.default_rng(53)
+    for n in range(1, 34):
+        for variant in ("dirichlet", "zeros", "off by 5e-10"):
+            p = rng.dirichlet(np.ones(n))
+            if variant == "zeros" and n > 1:
+                p[rng.permutation(n)[: max(1, n // 3)]] = 0.0
+                p /= p.sum()
+            elif variant == "off by 5e-10":
+                p *= 1.0 + 5e-10  # FiniteDistribution accepts a sum 1e-9 from 1
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            for m in (1, 20, 257):
+                for seed in range(8):
+                    draws = cdf.searchsorted(np.random.default_rng((seed, m)).random(m), side="right")
+                    expected = np.random.default_rng((seed, m)).choice(n, size=m, p=p)
+                    assert draws.dtype == expected.dtype and np.array_equal(draws, expected), (n, variant, m, seed)
 
 
 class TestProblemValidation:

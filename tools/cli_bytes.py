@@ -22,8 +22,11 @@ exit 2 or 3 and a JSON error (empty `--l`, `--target` and `--x0`, `klest
 --lr inf` and `--alphabet-size 0`, `maxent --alphabet-size` off the
 features' size, `figure1 --x-max=inf`, a list as `solve`'s penalty,
 `solve --tol nan`, `pacbayes` with b = 1e308); its lines hash stdout and
-stderr together, so a changed error message shows. Warnings are printed as
-`<category>: <message>`, without the file and line that raised them, so
+stderr together, so a changed error message shows. The pacbayes part runs
+the coverage experiment on seeded tables of 8, 9 and 33 hypotheses (numpy
+sums rows of 8 or more entries pairwise), at the default `--trials 2000`,
+and with a zero entry in `data_model`; its lines hash stdout and stderr.
+Warnings are printed as `<category>: <message>`, without the file and line that raised them, so
 stderr hashes compare across checkouts. All
 use femin from the `src/` next to this file and one BLAS thread. Run it on two checkouts and diff the
 results to see which outputs moved:
@@ -226,6 +229,44 @@ INPUT_CASES = (
 )
 
 
+def pacbayes_problem(n_h, n_z, seed, zero_symbol=None):
+    """A seeded learning problem: uniform losses in [0, 1], a prior bounded
+    away from zero and a Dirichlet data model, zero at `zero_symbol` if given."""
+    rng = np.random.default_rng((seed, n_h, n_z))
+    data_model = rng.dirichlet(np.ones(n_z))
+    if zero_symbol is not None:
+        data_model[zero_symbol] = 0.0
+        data_model /= data_model.sum()
+    return json.dumps(
+        {
+            "loss_table": rng.uniform(0.0, 1.0, (n_h, n_z)).tolist(),
+            "a": 0.0,
+            "b": 1.0,
+            "prior": (rng.dirichlet(np.ones(n_h)) * 0.9 + 0.1 / n_h).tolist(),
+            "data_model": data_model.tolist(),
+        }
+    )
+
+
+PACBAYES = ["pacbayes", "--problem", "problem.json"]
+PACBAYES_CASES = (
+    ("h8-trials-2000", pacbayes_problem(8, 5, 0), ["--beta", "2", "--m", "30", "--delta", "0.1"]),
+    ("h9-m257", pacbayes_problem(9, 6, 1), ["--beta", "5", "--m", "257", "--delta", "0.05", "--trials", "300"]),
+    ("h33", pacbayes_problem(33, 7, 2), ["--beta", "4", "--m", "50", "--delta", "0.05", "--trials", "200"]),
+    (
+        "zero-data-model",
+        pacbayes_problem(6, 4, 3, zero_symbol=1),
+        ["--beta", "3", "--m", "20", "--delta", "0.05", "--trials", "300"],
+    ),
+)
+
+
+def pacbayes_lines():
+    for name, problem, flags in PACBAYES_CASES:
+        code, out, err = run_in_tempdir({"problem.json": problem}, [*PACBAYES, *flags])
+        yield f"pacbayes {name} {code} {digest(out)} {digest(err)}"
+
+
 def input_lines():
     for name, files, argv in INPUT_CASES:
         code, out, err = run_in_tempdir(files, argv)
@@ -243,8 +284,10 @@ def demo_lines():
 
 
 def main() -> int:
-    for line in (*cli_lines(), *demo_lines(), *em_lines(), *maxent_lines(), *limit_lines(), *input_lines()):
-        print(line)
+    parts = (cli_lines, demo_lines, em_lines, maxent_lines, limit_lines, input_lines, pacbayes_lines)
+    for part in parts:
+        for line in part():
+            print(line)
     return 0
 
 
