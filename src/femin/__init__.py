@@ -15,8 +15,6 @@ from .errors import (
     DegenerateComponentWarning,
     DimensionMismatch,
     EmptyData,
-    EmptySamples,
-    EmptyTrainingSet,
     FeminError,
     FlooringWarning,
     Infeasible,

@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 malformed input (bad flags, unreadable files,
 broken JSON/CSV, missing schema keys), 3 domain errors (invalid values,
 infeasible targets, support violations, ...). Failures emit a
 machine-readable JSON object on standard error. Outputs are byte-identical
-for identical configuration and seed.
+for identical configuration. Each subcommand declares only the flags it reads.
 """
 
 from __future__ import annotations
@@ -294,12 +294,8 @@ def cmd_klest(args) -> None:
         init = LinearFeaturesFunction.zeros(features)
         if args.alphabet_size is not None:
             _require_same_size(init.alphabet_size, args.alphabet_size, "features and --alphabet-size")
-    result = fit_dv(init, samples, steps=args.steps, learning_rate=args.lr, seed=args.seed)
-    payload = {
-        "kl_estimate": result.kl_estimate,
-        "trace": result.trace.tolist(),
-        "seed": result.seed,
-    }
+    result = fit_dv(init, samples, steps=args.steps, learning_rate=args.lr)
+    payload = {"kl_estimate": result.kl_estimate, "trace": result.trace.tolist()}
     if isinstance(result.function, TabularFunction):
         payload["values"] = result.function.values.tolist()
     else:
@@ -355,9 +351,6 @@ def cmd_figure1(args) -> None:
 
 def _add_common(parser) -> None:
     parser.add_argument("--output", default=None, help="write the artifact here (default: stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    # no default here: a subcommand's set_defaults(tol=...) gives it, else None
-    parser.add_argument("--tol", type=_tolerance, help="tolerance override, finite and >= 0")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
 
@@ -375,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraints", required=True)
     p.add_argument("--alphabet-size", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=200)
-    p.set_defaults(tol=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = sub.add_parser("posterior", help="normalize an unnormalized model")
     p.add_argument("--model", required=True)
@@ -388,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="JSON initial model")
     p.add_argument("--data", required=True, help="CSV with one observation per line")
     p.add_argument("--max-iter", type=int, default=500)
-    p.set_defaults(tol=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = sub.add_parser("pacbayes", help="bound-coverage experiment for Gibbs learners")
     p.add_argument("--problem", required=True)
@@ -396,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("klest", help="variational KL estimate from two sample files")
     p.add_argument("--class", dest="klass", choices=("tabular", "linear"), default="tabular")
@@ -420,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--schedule", choices=("constant", "inv_sqrt", "backtracking"), default="constant")
     p.add_argument("--iters", type=int, default=200)
-    p.set_defaults(tol=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
 
     p = sub.add_parser("figure1", help="temperature-sweep table for the three penalties")
     p.add_argument("--x-min", type=float, default=-4.0)

@@ -42,14 +42,6 @@ class EmptyData(FeminError, ValueError):
     """An observation set that must be nonempty is empty."""
 
 
-class EmptyTrainingSet(FeminError, ValueError):
-    """A training sample that must be nonempty is empty."""
-
-
-class EmptySamples(FeminError, ValueError):
-    """A sample list that must be nonempty is empty."""
-
-
 class NonFinite(FeminError, ArithmeticError):
     """A numerical routine produced non-finite parameters or values."""
 

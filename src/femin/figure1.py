@@ -34,12 +34,16 @@ BUILTIN_LOSSES = {"bimodal": bimodal_loss, "quadratic": quadratic_loss}
 
 
 def scale_loss(raw: np.ndarray) -> np.ndarray:
-    """Affinely map a loss table onto [0, LOSS_SCALE_MAX]; constants map to 0."""
+    """Affinely map a loss table onto [0, LOSS_SCALE_MAX]; constants map to 0.
+    A table whose span max - min exceeds the largest double raises."""
     raw = np.asarray(raw, dtype=float)
-    span = raw.max() - raw.min()
+    lo, hi = raw.min(), raw.max()
+    if hi / 2 - lo / 2 >= 2.0**1023:  # exactly when hi - lo rounds to inf
+        raise ValueError(f"loss table span {float(hi)!r} - {float(lo)!r} exceeds the largest double")
+    span = hi - lo
     if span == 0.0:
         return np.zeros_like(raw)
-    return (raw - raw.min()) * (LOSS_SCALE_MAX / span)
+    return (raw - lo) * (LOSS_SCALE_MAX / span)
 
 
 def grid_prior(x: np.ndarray) -> FiniteDistribution:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySamples, NonFinite, SupportViolation
+from .errors import NonFinite, SupportViolation
 from .simplex import SUPPORT_EPS, FiniteDistribution, _as_readonly_table, gibbs, log_sum_exp
 from .simplex import _as_readonly_vector, _check_count, _positive, _require_same_size, _symbol_indices
 
@@ -100,7 +100,7 @@ class SamplePair:
 
     def __post_init__(self):
         for name in ("samples_p", "samples_q"):
-            object.__setattr__(self, name, _symbol_indices(getattr(self, name), name, empty=EmptySamples))
+            object.__setattr__(self, name, _symbol_indices(getattr(self, name), name))
 
     def max_symbol(self) -> int:
         return int(max(self.samples_p.max(), self.samples_q.max()))
@@ -163,7 +163,6 @@ class FitResult:
     function: object
     kl_estimate: float
     trace: np.ndarray
-    seed: int
 
 
 def _ascent_terms(neg, samples_p, p_hat, log_q_counts, log_n_q: float):
@@ -178,18 +177,16 @@ def _ascent_terms(neg, samples_p, p_hat, log_q_counts, log_n_q: float):
     return float(neg[samples_p].mean()) - (float(log_z) - log_n_q), probs - p_hat
 
 
-def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0.1, seed: int = 0) -> FitResult:
+def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0.1) -> FitResult:
     """Maximize the empirical objective by full-batch gradient ascent.
 
     The objective is concave in the parameters of both supported classes, so
     ascent with per-step halving line search yields a nondecreasing trace.
     The final objective value is the divergence estimate. The loop runs on
-    parameter arrays and the function is built once, at exit. The fit itself
-    is deterministic; seed is recorded for provenance only.
+    parameter arrays and the function is built once, at exit.
     """
     steps = _check_count(steps, "steps", 1)
     learning_rate = _positive(learning_rate, "learning_rate")
-    seed = _check_count(seed, "seed", 0)
     _check_alphabet(init, samples)
     n = init.alphabet_size
     samples_p = samples.samples_p
@@ -228,4 +225,4 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
         params, objective, grad = candidate, value, cand_grad
         trace.append(objective)
     fn = TabularFunction(params, init.excluded) if tabular else LinearFeaturesFunction(init.features, params)
-    return FitResult(fn, float(objective), np.array(trace), seed)
+    return FitResult(fn, float(objective), np.array(trace))

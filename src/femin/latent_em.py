@@ -86,13 +86,26 @@ class MixtureModel:
 
 
 def _check_data(model: MixtureModel, data) -> np.ndarray:
-    return _observations(model.kind, data, model.n_symbols if model.kind == CATEGORICAL else None)
+    """The observations as _observations gives them. Gaussian data must keep
+    2 variance, (y - mean)^2 / (2 variance) at each component's farthest
+    observation, as _log_joint computes them, and (max y - min y)^2 finite;
+    the last bounds the M-step's squared spread, whose means lie in that range."""
+    if model.kind == CATEGORICAL:
+        return _observations(CATEGORICAL, data, model.n_symbols)
+    y = _observations(GAUSSIAN1D, data)
+    lo, hi = y.min(), y.max()
+    with np.errstate(over="ignore"):
+        twice = 2.0 * model.variances
+        squares = (twice, np.maximum(hi - model.means, model.means - lo) ** 2 / twice, (hi - lo) ** 2)
+    if not all(np.isfinite(sq).all() for sq in squares):
+        raise ValueError("model and observations too large: (y - mean)^2 / (2 variance) or (max y - min y)^2 overflows")
+    return y
 
 
 def _observations(kind: str, data, n_symbols=None) -> np.ndarray:
     """Categorical symbols in [0, n_symbols), or finite reals, as a nonempty vector."""
     if kind == CATEGORICAL:
-        return _symbol_indices(data, "observations", n_symbols, EmptyData)
+        return _symbol_indices(data, "observations", n_symbols)
     y = np.asarray(data, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise EmptyData("data must be a nonempty vector of observations")

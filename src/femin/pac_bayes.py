@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, NonPositivePrior
+from .errors import NonPositivePrior
 from .free_energy import KL_TO_PRIOR, _tilt
 from .simplex import SUPPORT_EPS, FiniteDistribution, kl_divergence, log_sum_exp
 from .simplex import _as_readonly_table, _check_count, _kl, _positive, _require_same_size, _symbol_indices
@@ -77,7 +77,7 @@ def _check_delta(delta) -> float:
 
 def training_losses(problem: LearningProblem, s) -> np.ndarray:
     """Empirical loss of every hypothesis on the sample: (1/m) sum_i l(x, z_i)."""
-    samples = _symbol_indices(s, "training set", problem.n_outcomes, EmptyTrainingSet)
+    samples = _symbol_indices(s, "training set", problem.n_outcomes)
     return problem.loss_table[:, samples].mean(axis=1)
 
 

@@ -12,7 +12,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch, SupportViolation
+from .errors import DimensionMismatch, EmptyData, SupportViolation
 
 # Entries at or below this are exact zeros for support checks.
 SUPPORT_EPS = 1e-15
@@ -43,13 +43,14 @@ def _as_readonly_table(values, name):
     return arr
 
 
-def _symbol_indices(values, name, n=None, empty=ValueError) -> np.ndarray:
+def _symbol_indices(values, name, n=None) -> np.ndarray:
     """Read-only int64 copy of a nonempty vector of symbol indices in [0, n),
     [0, inf) if n is None; floats must be integral and at most 2**53 in size.
-    An empty or non-vector input raises `empty`."""
+    An empty or non-vector input (observations, samples, a training set)
+    raises EmptyData; any other bad entry raises ValueError."""
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
-        raise empty(f"{name} must be a nonempty vector of symbols")
+        raise EmptyData(f"{name} must be a nonempty vector of symbols")
     if arr.dtype.kind == "f" and not np.all((np.floor(arr) == arr) & (np.abs(arr) <= 2.0**53)):
         raise ValueError(f"{name} must be integers, got a non-integral entry")
     arr = arr.astype(np.int64)
@@ -184,9 +185,10 @@ def half_sq_l2(q: FiniteDistribution, p: FiniteDistribution) -> float:
 def gibbs(logits, axis=-1):
     """Gibbs map along one axis: (exp(v - log Z), log Z), Z = sum exp(v).
 
-    Max-shifted, so magnitudes up to ~1e3 are safe. log Z drops that axis
-    (a numpy scalar for a vector). -inf entries get zero weight; a slice of
-    only -inf has log Z = -inf and NaN probabilities. +inf and NaN raise.
+    Max-shifted, so any finite logits are safe; an entry whose distance to
+    the max overflows gets zero weight. log Z drops that axis (a numpy
+    scalar for a vector). -inf entries get zero weight; a slice of only -inf
+    has log Z = -inf and NaN probabilities. +inf and NaN raise.
     Down axis 0 of a table the slices are added in order, one numpy call
     each, so a column's result does not depend on the others; keep it short.
     """
@@ -194,11 +196,11 @@ def gibbs(logits, axis=-1):
     if v.size == 0:
         raise ValueError("gibbs of an empty vector")
     m = v.max(axis=axis, keepdims=True)
-    if np.isfinite(m).all():
+    if np.abs(m).max() < 2.0**969:  # finite, and no v - m can overflow
         return _shifted_gibbs(v, m, axis)
     if not (m < np.inf).all():
         raise ValueError("logits must be < +inf and not NaN")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _shifted_gibbs(v, np.where(m == -np.inf, 0.0, m), axis)
 
 

@@ -6,10 +6,11 @@ sizes. Two CLI sweeps run through femin.cli.main: one sets every numeric or
 list flag of every subcommand to edge values, the other puts edge values in
 place of every field, and of every list's first entry, of each JSON input
 file. Each run must end in exit 0, 2 or 3, with a JSON error on stderr when
-it is not 0, and raise no numpy warning beyond the file sweep's
-KNOWN_WARNINGS.
+it is not 0, and raise no numpy warning. A third test sets every flag the
+parser declares to two values, which must give different results.
 """
 
+import argparse
 import io
 import json
 import subprocess
@@ -86,6 +87,7 @@ def inputs(tmp_path):
         "data": write("data.csv", "".join(f"{v!r}\n" for v in y.tolist())),
         "samples_p": write("samples_p.csv", "0\n1\n1\n2\n2\n2\n"),
         "samples_q": write("samples_q.csv", "0\n0\n1\n2\n1\n0\n"),
+        "features": write("features.json", json.dumps({"features": [[0.0], [1.0], [2.0]]})),
     }
 
 
@@ -93,22 +95,22 @@ def base_commands(files):
     """(argv, numeric or list flags) of each subcommand on small inputs."""
     return [
         (["solve", "--problem", files["problem"], "--q", files["q"]], []),
-        (["maxent", "--constraints", files["constraints"]], ["--alphabet-size", "--max-iter"]),
+        (["maxent", "--constraints", files["constraints"]], ["--alphabet-size", "--max-iter", "--tol"]),
         (["posterior", "--model", files["model"]], []),
         (["elbo", "--model", files["model"], "--q", files["q"]], []),
-        (["em", "--model", files["init"], "--data", files["data"], "--max-iter", "20"], ["--max-iter"]),
+        (["em", "--model", files["init"], "--data", files["data"], "--max-iter", "20"], ["--max-iter", "--tol"]),
         (
             ["pacbayes", "--problem", files["learning"], "--beta", "2", "--m", "5", "--delta", "0.1"]
             + ["--trials", "100"],
-            ["--beta", "--m", "--delta", "--trials"],
+            ["--beta", "--m", "--delta", "--trials", "--seed"],
         ),
         (
             ["klest", "--samples-p", files["samples_p"], "--samples-q", files["samples_q"], "--steps", "20"],
             ["--alphabet-size", "--steps", "--lr"],
         ),
-        (["mirror", "--l=0,1,0.5", "--iters", "20"], ["--l", "--x0", "--alpha", "--iters"]),
-        (["mirror", "--oracle", "quadratic-to-target", "--target=0.2,0.8", "--iters", "20"], ["--target"]),
-        (["mirror", "--oracle", "entropy-regularized-linear", "--l=0,1", "--iters", "20"], ["--reg"]),
+        (["mirror", "--l=0,1,0.5", "--iters", "20"], ["--l", "--x0", "--alpha", "--iters", "--tol"]),
+        (["mirror", "--oracle", "quadratic-to-target", "--target=0.2,0.8", "--iters", "20"], ["--target", "--tol"]),
+        (["mirror", "--oracle", "entropy-regularized-linear", "--l=0,1", "--iters", "20"], ["--reg", "--tol"]),
         (
             ["figure1", "--n-points", "12", "--temperatures", "1,0.1"],
             ["--x-min", "--x-max", "--n-points", "--temperatures"],
@@ -116,9 +118,13 @@ def base_commands(files):
     ]
 
 
-def with_flag(argv, flag, value):
-    """argv with `flag` set to `value` as one --flag=value token, replacing any
-    earlier setting; the = form keeps "-1" and "-inf" values."""
+def base_argv(files, command):
+    """The first base command of a subcommand."""
+    return next(argv for argv, _ in base_commands(files) if argv[0] == command)
+
+
+def without_flag(argv, flag):
+    """argv with every setting of `flag` removed."""
     out = []
     skip = False
     for token in argv:
@@ -128,7 +134,16 @@ def with_flag(argv, flag, value):
             skip = True
         elif not token.startswith(flag + "="):
             out.append(token)
-    return [*out, f"{flag}={value}"]
+    return out
+
+
+def with_flag(argv, flag, value):
+    """argv with `flag` set to `value` as one --flag=value token, replacing any
+    earlier setting; the = form keeps "-1" and "-inf" values. A value of None
+    leaves the flag out, and True passes it bare."""
+    if value is None:
+        return without_flag(argv, flag)
+    return [*without_flag(argv, flag), flag if value is True else f"{flag}={value}"]
 
 
 def test_cli_edge_value_sweep(inputs):
@@ -136,21 +151,142 @@ def test_cli_edge_value_sweep(inputs):
         code, _, err, caught = run_main(argv)
         assert code == 0, (argv, err)
         assert_clean_exit(argv, code, err, caught)
-        for flag in [*flags, "--seed", "--tol"]:
+        for flag in flags:
             for value in EDGE_VALUES:
                 case = with_flag(argv, flag, value)
                 code, _, err, caught = run_main(case)
                 assert_clean_exit(case, code, err, caught)
 
 
-FILE_EDGE_VALUES = ([], {}, 0, -1, 1e308, -1e308, 5e-324, "x", None, True, [[1.0]])
-# (command, input, position, value) runs of the file sweep that still raise a
-# RuntimeWarning; each is a FOUND line in CHANGES.md. Any other warning fails.
-KNOWN_WARNINGS = {
-    ("em", "init", ("emissions", "means", 0), "1e+308"),
-    ("em", "init", ("emissions", "means", 0), "-1e+308"),
-    ("em", "init", ("emissions", "vars", 0), "1e+308"),
+def declared_flags():
+    """(subcommand, flag) of every flag build_parser declares."""
+    (sub,) = [a for a in femin.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        (name, flag)
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+
+
+# A second version of each input, for the every-flag test.
+OTHER_INPUTS = {
+    "problem": {**JSON_INPUTS["problem"], "temperature": 0.5},
+    "q": {"probs": [0.25, 0.5, 0.25]},
+    "constraints": {"features": [[0.0, 1.0, 2.0]], "targets": [0.8]},
+    "model": {"log_tilde_p": [1.0, 0.0, -1.0]},
+    "init": {**JSON_INPUTS["init"], "weights": [0.3, 0.7]},
+    "learning": {**JSON_INPUTS["learning"], "prior": [0.6, 0.2, 0.2]},
+    "features": {"features": [[1.0], [0.0], [2.0]]},
+    "data": "-2.5\n-1.5\n-2.0\n2.0\n1.0\n",
+    "samples_p": "0\n0\n1\n2\n",
+    "samples_q": "1\n1\n2\n0\n",
 }
+
+
+def flag_cases(files, other, out):
+    """(base argv, flag, setting, other setting) of every flag that each
+    subcommand reads; a setting of None leaves the flag out, True passes it bare."""
+    commands = ("solve", "maxent", "posterior", "elbo", "em", "pacbayes", "klest", "mirror", "figure1")
+    solve, maxent, posterior, elbo, em, pacbayes, klest, mirror, figure1 = (base_argv(files, c) for c in commands)
+    linear = [*klest, "--class", "linear", "--features", files["features"]]
+    target = ["mirror", "--oracle", "quadratic-to-target", "--target=0.2,0.8", "--iters", "20"]
+    regularized = ["mirror", "--oracle", "entropy-regularized-linear", "--l=0,1", "--iters", "20"]
+    cases = [
+        (solve, "--problem", files["problem"], other["problem"]),
+        (solve, "--q", None, files["q"]),
+        (maxent, "--constraints", files["constraints"], other["constraints"]),
+        (maxent, "--alphabet-size", None, 4),
+        (maxent, "--max-iter", 200, 1),
+        (maxent, "--tol", 1e-8, 0.5),
+        (posterior, "--model", files["model"], other["model"]),
+        (elbo, "--model", files["model"], other["model"]),
+        (elbo, "--q", files["q"], other["q"]),
+        (em, "--model", files["init"], other["init"]),
+        (em, "--data", files["data"], other["data"]),
+        (em, "--max-iter", 20, 1),
+        (em, "--tol", 1e-8, 1e3),
+        (pacbayes, "--problem", files["learning"], other["learning"]),
+        (pacbayes, "--beta", 2, 3),
+        (pacbayes, "--m", 5, 6),
+        (pacbayes, "--delta", 0.1, 0.2),
+        (pacbayes, "--trials", 100, 50),
+        (pacbayes, "--seed", 0, 1),
+        (linear, "--class", "tabular", "linear"),
+        (klest, "--samples-p", files["samples_p"], other["samples_p"]),
+        (klest, "--samples-q", files["samples_q"], other["samples_q"]),
+        (linear, "--features", files["features"], other["features"]),
+        (klest, "--alphabet-size", None, 4),
+        (klest, "--steps", 20, 5),
+        (klest, "--lr", 0.1, 0.5),
+        (mirror, "--oracle", "linear", "entropy-regularized-linear"),
+        (mirror, "--l", "0,1,0.5", "1,0,0.5"),
+        (target, "--target", "0.2,0.8", "0.8,0.2"),
+        (regularized, "--reg", 0.1, 1),
+        (mirror, "--x0", None, "0.2,0.3,0.5"),
+        (mirror, "--method", "neg", "euclidean"),
+        (mirror, "--alpha", 0.1, 0.5),
+        (mirror, "--schedule", "constant", "inv_sqrt"),
+        (mirror, "--iters", 20, 5),
+        (mirror, "--tol", 1e-10, 1),
+        (figure1, "--x-min", -4, -3),
+        (figure1, "--x-max", 4, 3),
+        (figure1, "--n-points", 12, 11),
+        (figure1, "--temperatures", "1,0.1", "1"),
+        (figure1, "--loss", "bimodal", "quadratic"),
+    ]
+    for argv in (solve, maxent, posterior, elbo, em, pacbayes, klest, mirror, figure1):
+        cases += [(argv, "--output", None, out), ([*argv, "--output", out], "--quiet", None, True)]
+    return cases
+
+
+def without_config(out):
+    """stdout without its config echo: a CSV's first line, a JSON object's key."""
+    if not out or out.startswith("# config="):
+        return out.partition("\n")[2]
+    return {key: value for key, value in json.loads(out).items() if key != "config"}
+
+
+def write_files(directory, contents):
+    """{name: path} of files written to directory; a str is written as is, anything else as JSON."""
+    paths = {}
+    for name, content in contents.items():
+        path = directory / name
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        paths[name] = str(path)
+    return paths
+
+
+def test_every_declared_flag_changes_the_result(inputs, tmp_path):
+    (tmp_path / "other").mkdir()
+    cases = flag_cases(inputs, write_files(tmp_path / "other", OTHER_INPUTS), str(tmp_path / "out"))
+    assert {(argv[0], flag) for argv, flag, _, _ in cases} == declared_flags()
+    for argv, flag, setting, other_setting in cases:
+        results = []
+        for value in (setting, other_setting):
+            case = with_flag(argv, flag, value)
+            code, out, err, caught = run_main(case)
+            assert_clean_exit(case, code, err, caught)
+            results.append((code, without_config(out), err))
+        assert results[0] != results[1], (argv, flag, setting, other_setting, results[0])
+
+
+# The flags that no subcommand reads and the parser no longer declares.
+REMOVED_FLAGS = [
+    *((command, "--seed") for command in ("solve", "maxent", "posterior", "elbo", "em", "klest", "mirror", "figure1")),
+    *((command, "--tol") for command in ("solve", "posterior", "elbo", "pacbayes", "klest", "figure1")),
+]
+
+
+@pytest.mark.parametrize(("command", "flag"), REMOVED_FLAGS)
+def test_removed_flag_is_an_input_error(inputs, command, flag):
+    code, out, err, _ = run_main(with_flag(base_argv(inputs, command), flag, 1))
+    assert code == 2 and out == "", err
+    assert json.loads(err) == {"error": "InputError", "exit_code": 2, "message": f"unrecognized arguments: {flag}=1"}
+
+
+FILE_EDGE_VALUES = ([], {}, 0, -1, 1e308, -1e308, 5e-324, "x", None, True, [[1.0]])
 
 
 def positions(node, path=()):
@@ -178,7 +314,6 @@ def replaced(node, path, value):
 def test_cli_input_file_sweep(inputs, tmp_path):
     fuzzed = tmp_path / "fuzzed.json"
     names = {inputs[name]: name for name in JSON_INPUTS}
-    warned = set()
     commands = [argv for argv, _ in base_commands(inputs)]
     cases = [(argv, i, names[token]) for argv in commands for i, token in enumerate(argv) if token in names]
     for argv, i, name in cases:
@@ -190,13 +325,29 @@ def test_cli_input_file_sweep(inputs, tmp_path):
                     code, _, err, caught = run_main([*argv[:i], fuzzed, *argv[i + 1 :]])
                 except Exception as exc:
                     pytest.fail(f"{label} raised {exc!r}")
-                if label in KNOWN_WARNINGS:
-                    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-                    if runtime:
-                        warned.add(label)
-                    caught = [w for w in caught if w not in runtime]
                 assert_clean_exit(label, code, err, caught)
-    assert warned == KNOWN_WARNINGS
+
+
+# Inputs whose arithmetic would overflow, by file name: a Gaussian init mean
+# of +-1e308 or a variance of 1e308, data near 1e200, a posterior whose shift
+# by the max overflows, and a loss table whose span does.
+OVERFLOW_FILES = {
+    "constraints.json": {"features": [[0.0, 1e308, 2.0]], "targets": [1.2]},
+    "model.json": {"log_tilde_p": [1e308, -1e308]},
+    "loss.json": [1e308, -1e308] + [0.0] * 9,
+    "init.json": JSON_INPUTS["init"],
+    "mean.json": replaced(JSON_INPUTS["init"], ("emissions", "means", 0), 1e308),
+    "neg_mean.json": replaced(JSON_INPUTS["init"], ("emissions", "means", 0), -1e308),
+    "var.json": replaced(JSON_INPUTS["init"], ("emissions", "vars", 0), 1e308),
+    "data.csv": "-2.5\n-1.5\n2.0\n1.0\n",
+    "far.csv": "1e200\n1.1e200\n0.9e200\n",
+}
+EM_OVERFLOWS = [("mean.json", "data.csv"), ("neg_mean.json", "data.csv"), ("var.json", "data.csv"), ("init.json", "far.csv")]
+
+
+@pytest.fixture
+def overflow_files(tmp_path):
+    return write_files(tmp_path, OVERFLOW_FILES)
 
 
 class TestCliDefectInputs:
@@ -268,21 +419,28 @@ class TestCliDefectInputs:
         assert_domain_error(["maxent", "--constraints", constraints], "features too large")
 
     @pytest.mark.parametrize(
-        "argv",
+        ("argv", "text"),
         [
-            ["mirror", "--oracle", "quadratic-to-target", "--target=1e200,0"],
-            ["figure1", "--x-min=-1e200", "--x-max=1e200"],
-            ["maxent", "--constraints", "constraints.json"],
+            (["mirror", "--oracle", "quadratic-to-target", "--target=1e200,0"], "target too large"),
+            (["figure1", "--x-min=-1e200", "--x-max=1e200"], "loss on the grid must be finite"),
+            (["maxent", "--constraints", "constraints.json"], "features too large"),
+            (["posterior", "--model", "model.json"], '"log_partition":1e+308,"posterior":[1.0,0.0]'),
+            (["figure1", "--loss", "loss.json", "--n-points", "11"], "span 1e+308 - -1e+308 exceeds the largest double"),
+            *((["em", "--model", model, "--data", data], "model and observations too large") for model, data in EM_OVERFLOWS),
         ],
-        ids=["mirror", "figure1", "maxent"],
+        ids=["mirror", "figure1", "maxent", "posterior", "figure1-loss", "em-mean", "em-neg-mean", "em-var", "em-far"],
     )
-    def test_overflowing_inputs_under_w_error(self, tmp_path, argv):
-        constraints = tmp_path / "constraints.json"
-        constraints.write_text(json.dumps({"features": [[0.0, 1e308, 2.0]], "targets": [1.2]}))
-        argv = [str(constraints) if token == "constraints.json" else token for token in argv]
+    def test_overflowing_inputs_under_w_error(self, overflow_files, argv, text):
+        """Exit 3 with the JSON error, or for the posterior exit 0, with `text`
+        in the message or on stdout, and no warning."""
+        argv = [overflow_files.get(token, token) for token in argv]
         run = subprocess.run([sys.executable, "-W", "error", "-m", "femin", *argv], capture_output=True, text=True)
-        assert run.returncode == 3 and run.stdout == "", run.stderr
-        assert json.loads(run.stderr)["exit_code"] == 3
+        if argv[0] == "posterior":
+            assert run.returncode == 0 and run.stderr == "" and text in run.stdout, run.stderr
+        else:
+            assert run.returncode == 3 and run.stdout == "", run.stderr
+            error = json.loads(run.stderr)
+            assert error["exit_code"] == 3 and text in error["message"], error
 
     def test_overflowing_inputs_at_the_api(self):
         with pytest.raises(ValueError, match="target too large"):
@@ -293,6 +451,25 @@ class TestCliDefectInputs:
         for call in (lambda: fm.solve_maxent([constraint], 3), lambda: fm.check_feasibility([constraint])):
             with pytest.raises(ValueError, match="features too large"):
                 call()
+        with pytest.raises(ValueError, match="exceeds the largest double"):
+            figure1_table(-1.0, 1.0, 11, [1.0], loss=OVERFLOW_FILES["loss.json"])
+
+    @pytest.mark.parametrize(
+        ("means", "variances", "data"),
+        [
+            ([1e308, 1.0], [1.0, 1.0], [0.0, 1.0, 2.0]),
+            ([-1.0, 1.0], [1.0, 1e308], [0.0, 1.0, 2.0]),
+            ([-1.0, 1.0], [1e-6, 1.0], [0.0, 1e152]),  # (y - mean)^2 is finite, over 2e-6 it is not
+            ([0.0, 0.0], [1.0, 1.0], [-1e154, 1e154]),  # only the squared range overflows
+        ],
+    )
+    def test_em_squares_that_overflow_at_the_api(self, means, variances, data):
+        model = fm.MixtureModel.gaussian1d(fm.FiniteDistribution.uniform(2), means, variances)
+        resp = np.full((len(data), 2), 0.5)
+        calls = (fm.em_fit, fm.e_step, fm.marginal_log_likelihood, lambda m, y: fm.m_step(m, y, resp))
+        for call in calls:
+            with pytest.raises(ValueError, match="model and observations too large"):
+                call(model, data)
 
     @pytest.mark.parametrize(("a", "b"), [(-1e308, 1.0), (0.0, 1e308), (-1e308, 1e308)])
     def test_loss_range_whose_square_overflows(self, tmp_path, a, b):
@@ -311,9 +488,10 @@ class TestCliDefectInputs:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-5e-324"])
     def test_tol_must_be_finite_and_nonnegative(self, inputs, value):
-        code, out, err, _ = run_main(["solve", "--problem", inputs["problem"], f"--tol={value}"])
-        assert code == 2 and out == "", err
-        assert json.loads(err)["message"] == f"argument --tol: expected a finite number >= 0, got {value!r}"
+        for command in ("maxent", "em", "mirror"):
+            code, out, err, _ = run_main(with_flag(base_argv(inputs, command), "--tol", value))
+            assert code == 2 and out == "", err
+            assert json.loads(err)["message"] == f"argument --tol: expected a finite number >= 0, got {value!r}"
 
     def test_unwritable_output_is_an_input_error(self, inputs, tmp_path):
         argv = ["posterior", "--model", inputs["model"], "--output", str(tmp_path / "missing" / "out.json")]
@@ -357,11 +535,6 @@ class TestCounts:
     def test_validate_gradient_points(self):
         with pytest.raises(ValueError, match="n_points must be an integer, got 1.5"):
             fm.validate_gradient(fm.make_oracle("linear", [0.0, 1.0]), n_points=1.5)
-
-    def test_fit_dv_seed(self):
-        samples = fm.SamplePair([0, 1], [1, 0])
-        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
-            fm.fit_dv(fm.TabularFunction.zeros(2), samples, steps=2, seed=1.5)
 
 
 class TestFigure1Range:

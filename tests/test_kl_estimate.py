@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femin import (
-    EmptySamples,
+    EmptyData,
     FiniteDistribution,
     LinearFeaturesFunction,
     NonFinite,
@@ -57,9 +57,9 @@ class TestDvObjective:
             assert dv_objective(shifted, samples) == pytest.approx(base, abs=1e-12)
 
     def test_empty_samples_rejected(self):
-        with pytest.raises(EmptySamples):
+        with pytest.raises(EmptyData):
             SamplePair([], [0])
-        with pytest.raises(EmptySamples):
+        with pytest.raises(EmptyData):
             SamplePair([0], [])
 
     def test_non_integral_symbols_rejected(self):
@@ -220,11 +220,6 @@ class TestFitDv:
                 fit_dv(TabularFunction.zeros(2), samples, steps=steps)
         integral = fit_dv(TabularFunction.zeros(2), samples, steps=3.0)
         assert np.array_equal(integral.trace, fit_dv(TabularFunction.zeros(2), samples, steps=3).trace)
-
-    def test_seed_recorded(self):
-        samples = SamplePair([0, 1], [1, 0])
-        result = fit_dv(TabularFunction.zeros(2), samples, steps=5, seed=42)
-        assert result.seed == 42
 
 
 def dataclass_fit_dv(init, samples, steps, learning_rate):

@@ -21,7 +21,7 @@ from femin import (
     training_losses,
 )
 from femin import pac_bayes
-from femin.errors import EmptyTrainingSet
+from femin.errors import EmptyData
 from femin.pac_bayes import CoverageReport
 from femin.pac_bayes import test_losses as exact_test_losses
 
@@ -69,7 +69,7 @@ class TestLossEvaluation:
         assert training_losses(problem, [2])[1] == problem.loss_table[1, 2]
 
     def test_empty_training_set(self):
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(EmptyData):
             training_losses(small_problem(), [])
 
     def test_non_integral_symbols_rejected(self):

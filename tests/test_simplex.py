@@ -309,6 +309,20 @@ class TestGibbs:
         with pytest.raises(ValueError):
             gibbs([])
 
+    def test_distance_to_the_max_that_overflows_is_a_zero_weight(self):
+        # v - max can overflow only when the max is above about 2**969; the
+        # overflow is to -inf, an exact zero weight, and raises no warning
+        probs, log_z = gibbs([1e308, -1e308])
+        assert probs.tolist() == [1.0, 0.0] and log_z == 1e308
+        top = np.finfo(float).max
+        probs, log_z = gibbs([np.nextafter(2.0**969, 0.0), -top])  # the largest max of the unguarded path
+        assert probs.tolist() == [1.0, 0.0] and log_z == np.nextafter(2.0**969, 0.0)
+        table = np.array([[1e308, 0.0], [-1e308, -2.0], [-top, 1.0]])
+        probs, log_z = gibbs(table, axis=0)
+        assert probs[:, 0].tolist() == [1.0, 0.0, 0.0] and log_z[0] == 1e308
+        column_probs, column_log_z = gibbs(np.ascontiguousarray(table[:, 1:]), axis=0)
+        assert np.array_equal(probs[:, 1:], column_probs) and log_z[1] == column_log_z[0]
+
 
 def test_total_variation_basics():
     q = FiniteDistribution([1.0, 0.0])

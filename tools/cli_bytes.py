@@ -16,13 +16,16 @@ a jointly infeasible pair on a triangle and a target on that triangle's
 edge; its lines hash stderr too, after stdout. The limit part runs three
 step sizes or inverse temperatures near the largest double: a
 multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
-`pacbayes` at beta = 1e308 with losses in [2, 3]; its lines hash stdout and
-stderr. The input part runs ten inputs that the CLI must reject with
-exit 2 or 3 and a JSON error (empty `--l`, `--target` and `--x0`, `klest
---lr inf` and `--alphabet-size 0`, `maxent --alphabet-size` off the
-features' size, `figure1 --x-max=inf`, a list as `solve`'s penalty,
-`solve --tol nan`, `pacbayes` with b = 1e308); its lines hash stdout and
-stderr together, so a changed error message shows. The pacbayes part runs
+`pacbayes` at beta = 1e308 with losses in [2, 3], and `posterior` on
+log-weights of +-1e308; its lines hash stdout and stderr. The input part
+runs thirteen inputs that the CLI must reject with exit 2 or 3 and a JSON
+error (empty `--l`, `--target` and `--x0`, `klest --lr inf` and
+`--alphabet-size 0`, `maxent --alphabet-size` off the features' size,
+`figure1 --x-max=inf`, a list as `solve`'s penalty, `maxent --tol nan`,
+`solve --seed 1`, a flag that `solve` does not declare, `pacbayes` with
+b = 1e308, an `em` init mean of 1e308 and a `figure1 --loss` table spanning
+more than the largest double); its lines hash stdout and stderr together,
+so a changed error message shows. The pacbayes part runs
 the coverage experiment on seeded tables of 8, 9 and 33 hypotheses (numpy
 sums rows of 8 or more entries pairwise), at the default `--trials 2000`,
 and with a zero entry in `data_model`; its lines hash stdout and stderr.
@@ -188,6 +191,7 @@ LIMIT_CASES = (
         {"problem.json": json.dumps(PACBAYES_HIGH_LOSS)},
         ["pacbayes", "--problem", "problem.json", "--beta", "1e308", "--m", "10", "--delta", "0.05", "--trials", "100"],
     ),
+    ("posterior-1e308", {"model.json": json.dumps({"log_tilde_p": [1e308, -1e308]})}, ["posterior", "--model", "model.json"]),
 )
 
 
@@ -217,15 +221,29 @@ INPUT_CASES = (
         ["solve", "--problem", "problem.json"],
     ),
     (
-        "solve-tol-nan",
+        "maxent-tol-nan",
+        {"constraints.json": json.dumps({"features": [[0, 1, 2]], "targets": [1.2]})},
+        ["maxent", "--constraints", "constraints.json", "--tol", "nan"],
+    ),
+    (
+        "solve-seed-1",
         {"problem.json": json.dumps({"losses": [0.0, 1.0], "temperature": 1.0, "penalty": {"kind": "neg_entropy"}})},
-        ["solve", "--problem", "problem.json", "--tol", "nan"],
+        ["solve", "--problem", "problem.json", "--seed", "1"],
     ),
     (
         "pacbayes-b-1e308",
         {"problem.json": json.dumps({**PACBAYES_HIGH_LOSS, "b": 1e308})},
         ["pacbayes", "--problem", "problem.json", "--beta", "2", "--m", "10", "--delta", "0.05", "--trials", "100"],
     ),
+    (
+        "em-mean-1e308",
+        {
+            "model.json": json.dumps({"weights": [0.5, 0.5], "family": "gaussian1d", "emissions": {"means": [1e308, 1.0], "vars": [1.0, 1.0]}}),
+            "data.csv": "-2.5\n-1.5\n2.0\n1.0\n",
+        },
+        ["em", "--model", "model.json", "--data", "data.csv"],
+    ),
+    ("figure1-loss-span", {"loss.json": json.dumps([1e308, -1e308] + [0.0] * 9)}, ["figure1", "--loss", "loss.json", "--n-points", "11"]),
 )
 
 
