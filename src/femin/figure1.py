@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonPositivePrior
 from .free_energy import NEG_ENTROPY, PENALTY_KINDS, ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
-from .simplex import FiniteDistribution, LossVector, gibbs
+from .simplex import SUPPORT_EPS, FiniteDistribution, LossVector, gibbs
 from .simplex import _as_readonly_vector, _check_count, _require_same_size
 
 LOSS_SCALE_MAX = 5.0
@@ -49,7 +50,7 @@ def scale_loss(raw: np.ndarray) -> np.ndarray:
 def grid_prior(x: np.ndarray) -> FiniteDistribution:
     """Standard-normal density restricted to the grid and renormalized; an overflowing x**2 is a zero weight."""
     with np.errstate(over="ignore"):
-        return FiniteDistribution(gibbs(-0.5 * x**2)[0])
+        return FiniteDistribution._owned(gibbs(-0.5 * x**2)[0])
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ def figure1_table(
     table = scale_loss(raw)
     loss_vec = LossVector(table)
     prior = grid_prior(x)
+    if (low := float(prior.probs.min())) <= SUPPORT_EPS:  # the kl penalty's check, naming the cause
+        raise NonPositivePrior(f"grid prior on [{x_min!r}, {x_max!r}]: min weight {low!r} <= SUPPORT_EPS {SUPPORT_EPS!r}")
     solutions = {}
     for kind in PENALTY_KINDS:
         penalty = ComplexityPenalty(kind, None if kind == NEG_ENTROPY else prior)

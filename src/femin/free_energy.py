@@ -22,7 +22,7 @@ alone. A simplex-grid enumerator provides an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,6 +104,8 @@ class FreeEnergyProblem:
     def alphabet_size(self) -> int:
         return self.loss.alphabet_size
 
+    _optimum = cached_property(lambda self: _closed_form(self))  # read-only fields: never stale; a raise is not kept
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -144,7 +146,8 @@ def _project(v: np.ndarray):
     """Euclidean projection of v onto the simplex, (probs, tau): clip at the
     pivot and renormalize."""
     tau = _projection_pivot(v)
-    w = np.clip(v - tau, 0.0, None)
+    w = v - tau
+    np.maximum(w, 0.0, out=w)
     w /= w.sum()
     return w, tau
 
@@ -164,7 +167,8 @@ def _tilt(kind: str, p, losses: np.ndarray, t: float):
     vector's min L stays a scalar, whose subtraction is the faster one."""
     with np.errstate(over="ignore"):
         if kind == HALF_SQ_L2:
-            return _project(p - (losses - losses.min()) / t)
+            v = np.subtract(losses, losses.min(), dtype=float)
+            return _project(np.subtract(p, np.divide(v, t, out=v), out=v))
         logits = (np.minimum.reduce(losses, -1, keepdims=losses.ndim > 1) - losses) / t
         if p is not None:
             logits += np.log(p)  # taken after the shift, the log's memory is free for gibbs
@@ -198,10 +202,10 @@ def minimize_closed_form(problem: FreeEnergyProblem) -> Solution:
     share the max-shifted kernel, so any finite losses are safe, and j_opt
     is scaled by T: it is J's minimum at the problem's own temperature. A
     j_opt or an L2 tau beyond the doubles raises NonFinite."""
-    probs, j_opt, tau = _closed_form(problem)
+    probs, j_opt, tau = problem._optimum
     if tau is not None and not np.isfinite(tau):  # only at a tiny T, where j_opt is finite
         raise NonFinite(f"tau has no double value at T = {problem.temperature!r}")
-    return Solution(FiniteDistribution(probs), j_opt, tau)
+    return Solution(FiniteDistribution._owned(probs), j_opt, tau)
 
 
 def _simplex_grid(total: int, parts: int) -> np.ndarray:
@@ -271,6 +275,6 @@ def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Soluti
 
 def fenchel_young_gap(problem: FreeEnergyProblem, q: FiniteDistribution) -> float:
     """J(q) - J_opt (the Fenchel-Young loss); nonnegative, and zero exactly at
-    the minimizer. J_opt comes without building a second distribution; one
-    beyond the doubles raises NonFinite, as in minimize_closed_form."""
-    return free_energy(problem, q) - _closed_form(problem)[1]
+    the minimizer. J_opt is the problem's own, solved at most once per
+    problem; one beyond the doubles raises NonFinite, as in minimize_closed_form."""
+    return free_energy(problem, q) - problem._optimum[1]

@@ -38,7 +38,7 @@ def log_partition(model: UnnormalizedModel) -> float:
 
 def posterior(model: UnnormalizedModel) -> FiniteDistribution:
     """The normalized distribution p(x) = p~(x) / Z, computed in log space."""
-    return FiniteDistribution(gibbs(model.log_tilde_p)[0])
+    return FiniteDistribution._owned(gibbs(model.log_tilde_p)[0])
 
 
 def elbo(model: UnnormalizedModel, q: FiniteDistribution) -> float:
@@ -81,7 +81,7 @@ def mean_field_coordinate_ascent(log_joint: np.ndarray, sweeps: int = 20):
 
     trace = [product_elbo()]
     for _ in range(sweeps):
-        q1 = FiniteDistribution(gibbs(table @ q2.probs)[0])
-        q2 = FiniteDistribution(gibbs(q1.probs @ table)[0])
+        q1 = FiniteDistribution._owned(gibbs(table @ q2.probs)[0])
+        q2 = FiniteDistribution._owned(gibbs(q1.probs @ table)[0])
         trace.append(product_elbo())
     return q1, q2, np.array(trace)

@@ -169,7 +169,7 @@ def m_step(model: MixtureModel, data, resp) -> MixtureModel:
     if np.any(np.abs(r.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("each responsibility row must sum to 1")
     weights, theta = _m_step(_arrays(model)[1], _stats(model.emissions, y), np.ascontiguousarray(r.T))
-    return MixtureModel(FiniteDistribution(weights), model.kind, *theta)
+    return MixtureModel(FiniteDistribution._owned(weights), model.kind, *theta)
 
 
 def _stats(emissions, y: np.ndarray) -> np.ndarray:
@@ -232,7 +232,7 @@ def em_fit(init: MixtureModel, data, tol: float = 1e-8, max_iter: int = 500):
         if abs(current - previous) < tol:
             break
         previous = current
-    return MixtureModel(FiniteDistribution(weights), init.kind, *theta), np.array(trace)
+    return MixtureModel(FiniteDistribution._owned(weights), init.kind, *theta), np.array(trace)
 
 
 def default_init(data, n_components: int, kind: str, seed: int = 0, n_symbols: int | None = None) -> MixtureModel:

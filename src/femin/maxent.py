@@ -226,4 +226,4 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
     if not report.feasible:
         raise _infeasible(report)
     lam, q, iterations, residual, dual_trace = _dual_newton(features, targets, tol, max_iter)
-    return MaxEntSolution(lam, FiniteDistribution(q), iterations, residual, dual_trace)
+    return MaxEntSolution(lam, FiniteDistribution._owned(q), iterations, residual, dual_trace)

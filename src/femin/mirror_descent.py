@@ -115,7 +115,7 @@ def make_oracle(descriptor: str, *args, **kwargs) -> ObjectiveOracle:
 
 def project_to_simplex(v) -> FiniteDistribution:
     """Euclidean projection: clip at the pivot threshold and renormalize."""
-    return FiniteDistribution(_project(np.asarray(v, dtype=float))[0])
+    return FiniteDistribution._owned(_project(np.asarray(v, dtype=float))[0])
 
 
 def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
@@ -130,7 +130,7 @@ def neg_step(q: FiniteDistribution, grad, alpha: float) -> FiniteDistribution:
     if grad.shape != q.probs.shape:
         raise ValueError(f"grad has shape {grad.shape}, expected {q.probs.shape}")
     alpha = _positive(alpha, "alpha")  # T = 1/alpha must be finite and > 0
-    return FiniteDistribution(_tilt(KL_TO_PRIOR, q.probs, grad, 1.0 / alpha)[0])
+    return FiniteDistribution._owned(_tilt(KL_TO_PRIOR, q.probs, grad, 1.0 / alpha)[0])
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def gibbs_posterior(problem: LearningProblem, s, beta: float) -> FiniteDistribut
     the kl closed form of minimize_closed_form at T = 1/beta."""
     beta = _positive(beta, "beta")
     train = training_losses(problem, s)
-    return FiniteDistribution(_tilt(KL_TO_PRIOR, problem.prior.probs, train, 1.0 / beta)[0])
+    return FiniteDistribution._owned(_tilt(KL_TO_PRIOR, problem.prior.probs, train, 1.0 / beta)[0])
 
 
 def dv_check(problem: LearningProblem, q: FiniteDistribution, s, beta: float):

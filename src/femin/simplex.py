@@ -111,9 +111,19 @@ class FiniteDistribution:
         return self.probs.size
 
     @classmethod
+    def _owned(cls, probs: np.ndarray) -> "FiniteDistribution":
+        """The constructor's checks (a sum near 1 has no inf or NaN term) on a fresh float vector, not copied."""
+        if probs.ndim == 1 and probs.size and probs.min() >= 0 and abs(float(probs.sum()) - 1.0) <= NORMALIZATION_TOL:
+            probs.setflags(write=False)
+            dist = object.__new__(cls)
+            object.__setattr__(dist, "probs", probs)
+            return dist
+        return cls(probs)
+
+    @classmethod
     def uniform(cls, n: int) -> "FiniteDistribution":
         n = _check_count(n, "n", 1)
-        return cls(np.full(n, 1.0 / n))
+        return cls._owned(np.full(n, 1.0 / n))
 
     @classmethod
     def normalized(cls, weights) -> "FiniteDistribution":
@@ -126,7 +136,7 @@ class FiniteDistribution:
             raise ValueError("weights must be finite")
         if total <= 0:
             raise ValueError("weights must have a positive sum")
-        return cls(w / total)
+        return cls._owned(w / total)
 
 
 @dataclass(frozen=True)
@@ -205,9 +215,12 @@ def gibbs(logits, axis=-1):
 
 
 def _shifted_gibbs(v, m, axis):
-    w = np.exp(v - m)
-    total = reduce(np.add, w)[None] if axis == 0 and w.ndim > 1 else w.sum(axis=axis, keepdims=True)
-    return w / total, m.squeeze(axis) + np.log(total.squeeze(axis))
+    w = np.subtract(v, m)
+    np.exp(w, out=w)
+    # down axis 0, a one-row w reduces to a view of its row, which w /= total would overwrite
+    total = reduce(np.add, w)[None].copy() if axis == 0 and w.ndim > 1 else w.sum(axis=axis, keepdims=True)
+    w /= total
+    return w, m.squeeze(axis) + np.log(total.squeeze(axis))
 
 
 def log_sum_exp(values) -> float:

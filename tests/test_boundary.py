@@ -401,6 +401,14 @@ class TestCliDefectInputs:
         assert_clean_exit(argv, code, err, caught)
         assert code == 3  # the prior is at most one point: the kl penalty needs it positive
 
+    @pytest.mark.parametrize("x_min, x_max", [(-9.0, 9.0), (-3.0, 9.0)])
+    def test_figure1_range_whose_end_prior_weights_round_to_zero(self, x_min, x_max):
+        # exp(-x**2/2) is positive on the grid, but its end weights normalize below SUPPORT_EPS
+        low = float(grid_prior(np.linspace(x_min, x_max, 41)).probs.min())
+        assert 0.0 < low <= 1e-15
+        message = f"grid prior on [{x_min!r}, {x_max!r}]: min weight {low!r} <= SUPPORT_EPS 1e-15"
+        assert_domain_error(["figure1", f"--x-min={x_min}", f"--x-max={x_max}"], message)
+
     def test_grid_prior_weight_of_an_overflowing_square_is_zero(self):
         prior = grid_prior(np.linspace(-1e200, 1e200, 11)).probs
         assert prior.tolist() == [0.0] * 5 + [1.0] + [0.0] * 5

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -476,6 +478,65 @@ class TestFenchelYoungGap:
             minimize_closed_form(problem)
         with pytest.raises(NonFinite, match=r"j_opt has no double value at T = 1\.7e\+308"):
             fenchel_young_gap(problem, q)
+
+
+class TestOneSolvePerProblem:
+    """A problem keeps its closed-form minimizer; the gap and the solution
+    read that one solve."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gap_has_the_same_bits_before_and_after_a_solve(self, kind):
+        rng = np.random.default_rng(41)
+        problem = random_problem(rng, 7, kind)
+        q = FiniteDistribution(rng.dirichlet(np.ones(7)))
+        before = fenchel_young_gap(problem, q)
+        sol = minimize_closed_form(problem)
+        after = fenchel_young_gap(problem, q)
+        fresh = FreeEnergyProblem(LossVector(problem.loss.losses), problem.temperature, problem.penalty)
+        assert before.hex() == after.hex() == fenchel_young_gap(fresh, q).hex()
+        assert after == free_energy(problem, q) - sol.j_opt
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solve_and_gap_share_one_solve(self, kind, monkeypatch):
+        module = sys.modules["femin.free_energy"]  # the package's free_energy is the function
+        solves = []
+        original = module._closed_form
+        monkeypatch.setattr(module, "_closed_form", lambda problem: solves.append(problem) or original(problem))
+        problem = random_problem(np.random.default_rng(47), 6, kind)
+        q = FiniteDistribution.uniform(6)
+        first = minimize_closed_form(problem)
+        gap = fenchel_young_gap(problem, q)
+        again = minimize_closed_form(problem)
+        assert len(solves) == 1 and solves[0] is problem and gap == free_energy(problem, q) - first.j_opt
+        assert again.q_opt.probs is first.q_opt.probs and not first.q_opt.probs.flags.writeable
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_replace_does_not_reuse_the_old_optimum(self, kind):
+        rng = np.random.default_rng(43)
+        problem = random_problem(rng, 5, kind)
+        q = FiniteDistribution(rng.dirichlet(np.ones(5)))
+        cold = minimize_closed_form(problem)
+        hot = dataclasses.replace(problem, temperature=problem.temperature * 4.0)
+        expected = minimize_closed_form(FreeEnergyProblem(problem.loss, hot.temperature, problem.penalty))
+        got = minimize_closed_form(hot)
+        assert got.j_opt == expected.j_opt != cold.j_opt
+        assert np.array_equal(got.q_opt.probs, expected.q_opt.probs)
+        assert fenchel_young_gap(hot, q) == free_energy(hot, q) - expected.j_opt
+        assert minimize_closed_form(problem).j_opt == cold.j_opt
+
+    def test_non_finite_optimum_raises_on_every_call(self):
+        problem = neg_entropy_problem([0.0, 1.0, 2.0], t=1.7e308)
+        q = FiniteDistribution([0.2, 0.3, 0.5])
+        for _ in range(3):
+            with pytest.raises(NonFinite, match="j_opt has no double value"):
+                minimize_closed_form(problem)
+            with pytest.raises(NonFinite, match="j_opt has no double value"):
+                fenchel_young_gap(problem, q)
+        problem = l2_problem([-1.0, 0.0, -1.0], [0.2, 0.3, 0.5], t=1e-310)
+        for _ in range(3):
+            with pytest.raises(NonFinite, match="tau has no double value"):
+                minimize_closed_form(problem)
+            assert fenchel_young_gap(problem, FiniteDistribution([0.35, 0.0, 0.65])) == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None)

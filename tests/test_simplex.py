@@ -7,17 +7,34 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from femin import (
+    ComplexityPenalty,
     DimensionMismatch,
     FiniteDistribution,
+    FreeEnergyProblem,
+    LearningProblem,
     LossVector,
+    MomentConstraint,
     SupportViolation,
+    UnnormalizedModel,
+    default_init,
+    em_fit,
     entropy,
     gibbs,
+    gibbs_posterior,
     half_sq_l2,
     kl_divergence,
     log_sum_exp,
+    m_step,
+    mean_field_coordinate_ascent,
+    minimize_closed_form,
+    neg_step,
+    posterior,
+    project_to_simplex,
+    solve_maxent,
     total_variation,
 )
+from femin.cli import _read_distribution, _read_problem
+from femin.figure1 import grid_prior
 from femin.simplex import _check_count
 
 
@@ -91,6 +108,87 @@ class TestFiniteDistribution:
     def test_loss_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
             LossVector([1.0, np.inf])
+
+
+def _raised(build, arr):
+    with pytest.raises(ValueError) as info:
+        build(arr)
+    return type(info.value), str(info.value)
+
+
+class TestOwned:
+    """FiniteDistribution._owned wraps an array femin has just built: the
+    constructor's checks and errors, but no copy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(float, st.integers(1, 12), elements=st.floats(0.01, 1.0)),
+        st.sampled_from(["nan", "inf", "-inf", "negative", "off-sum"]),
+        st.floats(1e-300, 1.0),
+        st.data(),
+    )
+    def test_raises_what_the_constructor_raises(self, weights, defect, size, data):
+        v = weights / weights.sum()
+        i = data.draw(st.integers(0, v.size - 1))
+        if defect == "off-sum":
+            v = v * data.draw(st.one_of(st.floats(0.0, 1.0 - 1e-6), st.floats(1.0 + 1e-6, 1e300)))
+        elif defect == "negative":  # moved onto the next entry, so the sum stays near 1
+            v[(i + 1) % v.size] += v[i] + size
+            v[i] = -size
+        else:
+            v[i] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[defect]
+        expected = _raised(FiniteDistribution, v.copy())
+        assert _raised(FiniteDistribution._owned, v.copy()) == expected
+
+    @pytest.mark.parametrize("arr", [np.zeros(0), np.full((2, 2), 0.25), np.full((1, 1), 1.0)])
+    def test_shape_falls_back_to_the_constructor(self, arr):
+        assert _raised(FiniteDistribution._owned, arr) == _raised(FiniteDistribution, arr)
+
+    def test_wraps_without_a_copy(self):
+        arr = np.array([0.25, 0.75])
+        dist = FiniteDistribution._owned(arr)
+        assert dist.probs is arr and not arr.flags.writeable
+        assert dist.probs.tolist() == [0.25, 0.75]
+
+    def test_every_solver_result_is_read_only(self):
+        prior = FiniteDistribution([0.2, 0.3, 0.5])
+        loss = LossVector([0.0, 1.0, 0.5])
+        y = np.array([-2.0, -1.5, 2.0, 2.5, 0.1])
+        model = default_init(y, 2, "gaussian1d")
+        table = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        learning = LearningProblem(table, 0.0, 1.0, prior, FiniteDistribution([0.4, 0.6]))
+        penalties = [ComplexityPenalty.neg_entropy(), ComplexityPenalty.kl_to_prior(prior)]
+        penalties.append(ComplexityPenalty.half_sq_l2_to_prior(prior))
+        results = [
+            *(minimize_closed_form(FreeEnergyProblem(loss, 0.7, penalty)).q_opt for penalty in penalties),
+            FiniteDistribution.uniform(4),
+            FiniteDistribution.normalized([1.0, 3.0]),
+            project_to_simplex([0.3, 0.9, -0.2]),
+            neg_step(prior, [1.0, 0.0, 2.0], 0.5),
+            gibbs_posterior(learning, [0, 1, 1], 2.0),
+            posterior(UnnormalizedModel([0.0, 1.0, -1.0])),
+            *mean_field_coordinate_ascent(np.log([[0.1, 0.2], [0.3, 0.4]]), sweeps=2)[:2],
+            grid_prior(np.linspace(-2.0, 2.0, 9)),
+            solve_maxent([MomentConstraint([0.0, 1.0, 2.0], 1.2)], 3).q,
+            em_fit(model, y, max_iter=3)[0].weights,
+            m_step(model, y, np.full((y.size, 2), 0.5)).weights,
+        ]
+        for dist in results:
+            assert isinstance(dist, FiniteDistribution) and not dist.probs.flags.writeable
+            with pytest.raises(ValueError):
+                dist.probs[0] = 0.5
+
+    def test_boundary_builds_copy_the_callers_array(self):
+        src = np.array([0.25, 0.75])
+        dists = [
+            FiniteDistribution(src),
+            _read_distribution({"probs": src}),
+            _read_problem({"losses": [0.0, 1.0], "temperature": 1.0, "penalty": {"kind": "kl", "prior": src}})
+            .penalty.prior,
+        ]
+        src[:] = [0.5, 0.5]
+        for dist in dists:
+            assert dist.probs.tolist() == [0.25, 0.75]
 
 
 class TestEntropy:
@@ -260,6 +358,11 @@ class TestGibbs:
     # 1 then fifteen 1.1e-16 weights: added in order they leave 1, summed
     # pairwise they reach 1 + 7 eps
     @example(np.vstack([np.zeros((1, 2)), np.full((15, 2), math.log(1.1e-16))]))
+    # one row: numpy's add.reduce of it is a view of that row, so an in-place
+    # divide by the total would overwrite the total (log Z NaN, not -inf)
+    @example(np.array([[-math.inf]]))
+    @example(np.array([[0.0]]))
+    @example(np.array([[1.0, -math.inf]]))
     def test_axis_0_matches_rows_of_the_transpose(self, table):
         # Down axis 0 the K rows are added in order; along the last axis of
         # the contiguous transpose numpy sums pairwise from K = 8. Each sum of

@@ -23,7 +23,8 @@ from femin import (
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts __post_init__ calls of the three validated result types."""
+    """Counts validated builds of the three result types: __post_init__
+    calls, and FiniteDistribution._owned wraps, which run the same checks."""
     counts = Counter()
     for cls in (FiniteDistribution, MixtureModel, TabularFunction):
 
@@ -32,6 +33,13 @@ def builds(monkeypatch):
             _original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+    owned = FiniteDistribution._owned
+
+    def counted_owned(probs):
+        counts["FiniteDistribution"] += 1
+        return owned(probs)
+
+    monkeypatch.setattr(FiniteDistribution, "_owned", counted_owned)
     return counts
 
 

@@ -18,10 +18,11 @@ step sizes or inverse temperatures near the largest double: a
 multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
 `pacbayes` at beta = 1e308 with losses in [2, 3], and `posterior` on
 log-weights of +-1e308; its lines hash stdout and stderr. The input part
-runs thirteen inputs that the CLI must reject with exit 2 or 3 and a JSON
+runs fourteen inputs that the CLI must reject with exit 2 or 3 and a JSON
 error (empty `--l`, `--target` and `--x0`, `klest --lr inf` and
 `--alphabet-size 0`, `maxent --alphabet-size` off the features' size,
-`figure1 --x-max=inf`, a list as `solve`'s penalty, `maxent --tol nan`,
+`figure1 --x-max=inf`, a `figure1` range whose end prior weights
+round to zero, a list as `solve`'s penalty, `maxent --tol nan`,
 `solve --seed 1`, a flag that `solve` does not declare, `pacbayes` with
 b = 1e308, an `em` init mean of 1e308 and a `figure1 --loss` table spanning
 more than the largest double); its lines hash stdout and stderr together,
@@ -29,6 +30,9 @@ so a changed error message shows. The pacbayes part runs
 the coverage experiment on seeded tables of 8, 9 and 33 hypotheses (numpy
 sums rows of 8 or more entries pairwise), at the default `--trials 2000`,
 and with a zero entry in `data_model`; its lines hash stdout and stderr.
+The large part runs `solve --problem --q` for each of the three penalty
+kinds on 2^16 seeded symbols, so the long-vector paths of the closed forms
+are covered too; its lines hash stdout and stderr.
 Warnings are printed as `<category>: <message>`, without the file and line that raised them, so
 stderr hashes compare across checkouts. All
 use femin from the `src/` next to this file and one BLAS thread. Run it on two checkouts and diff the
@@ -215,6 +219,7 @@ INPUT_CASES = (
         ["maxent", "--constraints", "constraints.json", "--alphabet-size", "5"],
     ),
     ("figure1-x-max-inf", {}, ["figure1", "--x-max=inf"]),
+    ("figure1-x-range-9", {}, ["figure1", "--x-min=-9", "--x-max=9"]),
     (
         "solve-penalty-list",
         {"problem.json": json.dumps({"losses": [0.0, 1.0], "temperature": 1.0, "penalty": [0.2, 0.8]})},
@@ -291,6 +296,29 @@ def input_lines():
         yield f"input {name} {code} {digest(out + err)}"
 
 
+LARGE_N = 2**16
+LARGE_KINDS = (femin.NEG_ENTROPY, femin.KL_TO_PRIOR, femin.HALF_SQ_L2)
+
+
+def large_files(kind, seed):
+    """Seeded problem and q files on LARGE_N symbols; the L2 temperature is
+    scaled by LARGE_N so that much of the alphabet stays in the support."""
+    rng = np.random.default_rng((seed, LARGE_N, LARGE_KINDS.index(kind)))
+    losses = rng.normal(size=LARGE_N)
+    weights = rng.random(LARGE_N) + 0.1
+    q = rng.random(LARGE_N)
+    t = float(rng.uniform(0.5, 2.0)) * (LARGE_N if kind == femin.HALF_SQ_L2 else 1)
+    penalty = {"kind": kind} if kind == femin.NEG_ENTROPY else {"kind": kind, "prior": (weights / weights.sum()).tolist()}
+    problem = {"losses": losses.tolist(), "temperature": t, "penalty": penalty}
+    return {"problem.json": json.dumps(problem), "q.json": json.dumps({"probs": (q / q.sum()).tolist()})}
+
+
+def large_lines():
+    for kind in LARGE_KINDS:
+        code, out, err = run_in_tempdir(large_files(kind, 0), ["solve", "--problem", "problem.json", "--q", "q.json"])
+        yield f"large {kind} n={LARGE_N} {code} {digest(out)} {digest(err)}"
+
+
 def demo_lines():
     env = {**os.environ, **THREADS, "PYTHONPATH": str(ROOT / "src")}
     for path in sorted((ROOT / "demos").glob("*.py")):
@@ -302,7 +330,7 @@ def demo_lines():
 
 
 def main() -> int:
-    parts = (cli_lines, demo_lines, em_lines, maxent_lines, limit_lines, input_lines, pacbayes_lines)
+    parts = (cli_lines, demo_lines, em_lines, maxent_lines, limit_lines, input_lines, pacbayes_lines, large_lines)
     for part in parts:
         for line in part():
             print(line)
