@@ -263,7 +263,6 @@ def cmd_em(args) -> None:
     if init.kind == CATEGORICAL:
         if not np.all(data == np.round(data)):
             raise InputError(f"{args.data}: categorical observations must be integers")
-        data = data.astype(np.int64)
     model, trace = em_fit(init, data, tol=args.tol, max_iter=args.max_iter)
     _emit_json(
         {"model": _write_mixture(model), "trace": trace.tolist(), "iterations": len(trace)}, args
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         _report_error(exc, 2)
         return 2
-    except (FeminError, ValueError) as exc:
+    except (FeminError, ValueError, MemoryError) as exc:  # MemoryError: an alphabet too large to allocate
         _report_error(exc, 3)
         return 3
     return 0

@@ -118,7 +118,12 @@ def _raise_if_separating(shifted, candidates, eps):
 
 def _dual_newton(features, targets, tol, max_iter):
     """Damped Newton on the dual from lambda = 0: (lambdas, q, iterations,
-    residual, dual trace) once q meets the moments within tol. Before that,
+    residual, dual trace) once q meets the moments within tol. Each step is
+    Cov_q(f)^-1 grad on the covariance's eigenvectors, with 1 / max_x |f(x)|^2
+    in place of the inverse of each eigenvalue at or below 1e-12 of the
+    largest (of all, when the largest is not positive). It is halved until
+    the dual rises, or taken whole once its Newton decrement is within the
+    dual's rounding; NotConverged if 60 halvings gain nothing. Before that,
     for two or more constraints, Infeasible if lambda or the last step
     separates; lambda does once the dual is above 0, as at a feasible target
     the dual is at most -H(q) <= 0. At that return it also tries both
@@ -151,24 +156,16 @@ def _dual_newton(features, targets, tol, max_iter):
         if residual <= tol:
             return lam, q, iteration, residual, np.array(dual_trace)
         cov = (features * q) @ features.T - np.outer(mean_f, mean_f)
-        eigvals = np.linalg.eigvalsh(cov)
-        well_conditioned = eigvals[-1] > 0 and eigvals[0] / eigvals[-1] >= 1e-12
+        vals, vecs = np.linalg.eigh(cov)
+        inv = np.divide(1.0, vals, out=np.full(m, fallback_step), where=vals > 1e-12 * max(vals[-1], 0.0))
+        direction = vecs @ (inv * (vecs.T @ grad))
+        # A full step gains about the Newton decrement grad @ direction / 2
+        # (Boyd & Vandenberghe 9.5). A gain is the difference of two rounded
+        # duals, lam @ alpha - log Z; once the decrement is within that
+        # rounding, no halving can show a gain.
         current = dual_trace[-1]
-        full_step = False
-        if well_conditioned:
-            direction = np.linalg.solve(cov, grad)
-            # A full step gains about the Newton decrement grad @ direction / 2
-            # (Boyd & Vandenberghe 9.5). Once that is within the rounding of
-            # the dual, lam @ alpha - log Z, no halving can show a gain.
-            lam_alpha = float(lam @ targets)
-            rounding = np.finfo(float).eps * (abs(lam_alpha) + abs(lam_alpha - current))
-            full_step = grad @ direction / 2 <= rounding
-        elif eigvals[-1] > 0:  # singular: a Newton step on the covariance's range, a gradient step off it
-            vals, vecs = np.linalg.eigh(cov)
-            inv = np.divide(1.0, vals, out=np.full(m, fallback_step), where=vals >= 1e-12 * vals[-1])
-            direction = vecs @ (inv * (vecs.T @ grad))
-        else:
-            direction = fallback_step * grad
+        lam_alpha = float(lam @ targets)
+        full_step = grad @ direction / 2 <= 2 * np.finfo(float).eps * (abs(lam_alpha) + abs(lam_alpha - current))
         step = 1.0
         for _ in range(60):
             candidate = dual(lam + step * direction)
@@ -176,11 +173,8 @@ def _dual_newton(features, targets, tol, max_iter):
                 break
             step *= 0.5
         else:
-            # Newton direction made no progress at any damping; take the
-            # safe gradient step instead.
-            direction = fallback_step * grad
-            step = 1.0
-            candidate = dual(lam + direction)
+            message = f"moment residual {residual:.3e} > tol {tol:.3e}: no halving of the Newton step raises the dual"
+            raise NotConverged(message, residual=residual, iterations=iteration)
         lam = lam + step * direction
         dual_trace.append(candidate)
     message = f"moment residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations"
@@ -207,12 +201,12 @@ def check_feasibility(constraints) -> FeasibilityReport:
 def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: int = 200) -> MaxEntSolution:
     """Fit the max-entropy distribution matching the given moments.
 
-    Damped Newton on the dual: gradient alpha - E_q[f], Hessian -Cov_q(f),
-    with step halving until the dual increases; where the covariance is
-    singular, Newton on its range and a fixed gradient step off it. Raises
+    Damped Newton on the dual: gradient alpha - E_q[f], Hessian -Cov_q(f).
+    One spectral step serves every covariance: Newton on its range, a fixed
+    gradient step off it, halved until the dual increases. Raises
     Infeasible, with a certificate on its report, for targets outside (or
-    on the boundary of) the feasible hull and NotConverged when max_iter is
-    exhausted."""
+    on the boundary of) the feasible hull, and NotConverged when max_iter is
+    exhausted or no halving of a step raises the dual."""
     n_x = _check_count(alphabet_size, "alphabet_size", 1)
     max_iter = _check_count(max_iter, "max_iter", 0)
     m = len(constraints)

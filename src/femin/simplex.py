@@ -131,7 +131,11 @@ class FiniteDistribution:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if total == np.inf and np.isfinite(w).all():  # finite weights whose sum overflows
+            w = w / w.max()
+            total = w.sum()
         if not np.isfinite(total):
             raise ValueError("weights must be finite")
         if total <= 0:

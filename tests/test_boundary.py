@@ -2,12 +2,13 @@
 
 Every public entry checks its arguments once, through the helpers in
 femin.simplex: counts, finite positive scalars, symbol vectors and alphabet
-sizes. Two CLI sweeps run through femin.cli.main: one sets every numeric or
-list flag of every subcommand to edge values, the other puts edge values in
-place of every field, and of every list's first entry, of each JSON input
-file. Each run must end in exit 0, 2 or 3, with a JSON error on stderr when
-it is not 0, and raise no numpy warning. A third test sets every flag the
-parser declares to two values, which must give different results.
+sizes. Three CLI sweeps run through femin.cli.main: one sets every numeric or
+list flag of every subcommand to edge values, one puts edge values in place
+of every field, and of every list's first entry, of each JSON input file,
+and one puts them on the first and the last line of each CSV column. Each
+run must end in exit 0, 2 or 3, with a JSON error on stderr when it is not
+0, and raise no numpy warning. Another test sets every flag the parser
+declares to two values, which must give different results.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +330,38 @@ def test_cli_input_file_sweep(inputs, tmp_path):
                 assert_clean_exit(label, code, err, caught)
 
 
+# Values for one line of a CSV column: the edge values, the largest doubles,
+# a value past 2**53 and the symbol 2**53 + 1, whose tabular alphabet is too
+# large to allocate.
+CSV_EDGE_VALUES = (*EDGE_VALUES, "1e308", "-1e308", "1e20", "9007199254740993")
+CATEGORICAL_FILES = {
+    "categorical.json": {"weights": [0.5, 0.5], "family": "categorical", "emissions": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]},
+    "symbols.csv": "0\n1\n2\n2\n1\n0\n",
+}
+
+
+def test_cli_csv_line_sweep(inputs, tmp_path):
+    categorical = write_files(tmp_path, CATEGORICAL_FILES)
+    em = base_argv(inputs, "em")
+    em_categorical = with_flag(with_flag(em, "--model", categorical["categorical.json"]), "--data", categorical["symbols.csv"])
+    klest = base_argv(inputs, "klest")
+    linear = [*klest, "--class", "linear", "--features", inputs["features"]]
+    cases = [(em, "--data", inputs["data"]), (em_categorical, "--data", categorical["symbols.csv"])]
+    cases += [(argv, "--samples-p", inputs["samples_p"]) for argv in (klest, linear)]
+    cases += [(argv, "--samples-q", inputs["samples_q"]) for argv in (klest, linear)]
+    edited = tmp_path / "edited.csv"
+    for argv, flag, path in cases:
+        code, _, err, caught = run_main(argv)
+        assert code == 0, (argv, err)
+        lines = Path(path).read_text().splitlines()
+        for value in CSV_EDGE_VALUES:
+            for at in (0, len(lines) - 1):
+                edited.write_text("".join(f"{line}\n" for line in replaced(lines, (at,), value)))
+                case = with_flag(argv, flag, edited)
+                code, _, err, caught = run_main(case)
+                assert_clean_exit((flag, at, value, case), code, err, caught)
+
+
 # Inputs whose arithmetic would overflow, by file name: a Gaussian init mean
 # of +-1e308 or a variance of 1e308, data near 1e200, a posterior whose shift
 # by the max overflows, and a loss table whose span does.
@@ -355,6 +389,14 @@ class TestCliDefectInputs:
         assert_domain_error(["mirror", "--l="], "l must have at least one entry")
         target = ["mirror", "--oracle", "quadratic-to-target", "--target="]
         assert_domain_error(target, "target must have at least one entry")
+
+    def test_alphabet_too_large_to_allocate(self, tmp_path):
+        # 2**53 + 2 float64 cells ask for 64 PiB, which no allocation can give at once
+        samples = write_files(tmp_path, {"p.csv": "0\n9007199254740993\n", "q.csv": "0\n1\n"})
+        argv = ["klest", "--samples-p", samples["p.csv"], "--samples-q", samples["q.csv"]]
+        code, out, err, caught = run_main(argv)
+        assert_clean_exit(argv, code, err, caught)
+        assert code == 3 and out == "" and json.loads(err)["error"] == "MemoryError", err
 
     def test_infinite_learning_rate(self, inputs):
         argv = ["klest", "--samples-p", inputs["samples_p"], "--samples-q", inputs["samples_q"], "--lr", "inf"]

@@ -5,7 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import femin.maxent
 from femin import (
     ComplexityPenalty,
     FiniteDistribution,
@@ -185,6 +188,15 @@ class TestSolveMaxent:
             assert result.iterations <= iterations and result.residual <= tol
             assert np.abs(result.q.probs - single.q.probs).max() <= 1e-8
 
+    def test_no_gain_at_any_halving_is_not_converged(self, monkeypatch):
+        # a dual one below its true value off lambda = 0: no step along any direction gains
+        true_log_sum_exp = femin.maxent.log_sum_exp
+        monkeypatch.setattr(femin.maxent, "log_sum_exp", lambda v: true_log_sum_exp(v) + float(np.any(v != 0.0)))
+        with pytest.raises(NotConverged, match="no halving of the Newton step raises the dual") as err:
+            solve_maxent([MomentConstraint([0.0, 1.0, 2.0], 0.5)], 3)
+        assert err.value.iterations == 0
+        assert err.value.residual == pytest.approx(0.5)
+
     def test_not_converged_reports_diagnostics(self):
         with pytest.raises(NotConverged) as err:
             solve_maxent([MomentConstraint([0.0, 1.0], 0.499)], 2, tol=1e-14, max_iter=1)
@@ -334,6 +346,47 @@ class TestCertificates:
     def test_feasible_report_has_no_certificate(self):
         report = check_feasibility(self.constraints([0.2, 0.3]))
         assert report.feasible and report.certificate is None
+
+
+def dependent_features(rng, n, m, n_dependent):
+    """m random feature rows on n symbols, the last n_dependent each a random
+    combination of the rows above plus an offset, so Cov_q(f) is singular."""
+    features = rng.normal(size=(m, n))
+    for k in range(m - n_dependent, m):
+        features[k] = rng.normal(size=k) @ features[:k] + rng.normal()
+    return features
+
+
+# The examples are seeds whose last Newton decrement lies between one and two
+# roundings of the dual, where halving cannot show the gain.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(3184)
+@example(15209)
+@example(18574)
+@example(22081)
+def test_solution_or_certificate(seed):
+    """On scaled features with dependent rows and targets inside or pushed off
+    the hull: q > 0 meeting every moment within tol along a nondecreasing dual,
+    or Infeasible with a certificate that passes the module docstring's test."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    m = min(int(rng.integers(2, 5)), n - 1)
+    n_dependent = min(int(rng.integers(0, 4)), m - 1)
+    pushed = bool(rng.integers(2))
+    features = dependent_features(rng, n, m, n_dependent) * 10.0 ** int(rng.integers(-3, 4))
+    targets = features @ (rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+    if pushed:
+        targets += rng.normal(scale=0.5, size=m)
+    constraints = [MomentConstraint(f, t) for f, t in zip(features, targets)]
+    try:
+        result = solve_maxent(constraints, n)
+    except Infeasible as err:
+        assert_certificate(err.report, features, targets)
+        return
+    assert np.all(result.q.probs > 0.0)
+    assert np.abs(features @ result.q.probs - targets).max() <= 1e-8
+    assert np.all(np.diff(result.dual_trace) >= -1e-12)
 
 
 def test_maxent_runs_without_scipy(tmp_path):

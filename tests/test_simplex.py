@@ -100,6 +100,12 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError):
             FiniteDistribution.normalized([0.0, 0.0])
 
+    def test_normalized_finite_weights_whose_sum_overflows(self):
+        assert FiniteDistribution.normalized([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
+        assert FiniteDistribution.normalized([1e308, 0.0, 1e308]).probs.tolist() == [0.5, 0.0, 0.5]
+        with pytest.raises(ValueError, match="weights must be finite"):
+            FiniteDistribution.normalized([1e308, np.inf])
+
     def test_probs_are_readonly(self):
         d = FiniteDistribution.uniform(3)
         with pytest.raises(ValueError):

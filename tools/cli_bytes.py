@@ -10,11 +10,12 @@ on seeds 0-2 (24 outputs); from K = 8 on, numpy sums a row of K pairwise,
 so it shows which layouts round alike. It also fits the `em_fit` benchmark
 job (5000 points, K = 3), where the M-step's summation order matters most,
 and one observation at K = 9, where the E-step's table is a single column,
-on seeds 0-2 each (6 outputs). The maxent part runs three two-constraint
+on seeds 0-2 each (6 outputs). The maxent part runs four two-constraint
 inputs: one whose Newton steps gain less than an ulp of the dual near tol,
-a jointly infeasible pair on a triangle and a target on that triangle's
-edge; its lines hash stderr too, after stdout. The limit part runs three
-step sizes or inverse temperatures near the largest double: a
+a jointly infeasible pair on a triangle, a target on that triangle's edge
+and, at `--tol 1e-12`, the dependent features f and 2f, whose covariance is
+singular at every q; its lines hash stderr too, after stdout. The limit
+part runs three step sizes or inverse temperatures near the largest double: a
 multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
 `pacbayes` at beta = 1e308 with losses in [2, 3], and `posterior` on
 log-weights of +-1e308; its lines hash stdout and stderr. The input part
@@ -165,16 +166,17 @@ def em_lines():
 
 
 MAXENT_CASES = (
-    ("ulp-stall", [[0, 1, 2, 3], [1, 0, 1, 0]], [1.2, 0.4]),
-    ("triangle-infeasible", [[0, 1, 0], [0, 0, 1]], [0.6, 0.6]),
-    ("triangle-boundary", [[0, 1, 0], [0, 0, 1]], [0.5, 0.5]),
+    ("ulp-stall", [[0, 1, 2, 3], [1, 0, 1, 0]], [1.2, 0.4], []),
+    ("triangle-infeasible", [[0, 1, 0], [0, 0, 1]], [0.6, 0.6], []),
+    ("triangle-boundary", [[0, 1, 0], [0, 0, 1]], [0.5, 0.5], []),
+    ("dependent-tol-1e-12", [[0, 1, 2, 3], [0, 2, 4, 6]], [1.2, 2.4], ["--tol", "1e-12"]),
 )
 
 
 def maxent_lines():
-    for name, features, targets in MAXENT_CASES:
+    for name, features, targets, flags in MAXENT_CASES:
         files = {"constraints.json": json.dumps({"features": features, "targets": targets})}
-        code, out, err = run_in_tempdir(files, ["maxent", "--constraints", "constraints.json"])
+        code, out, err = run_in_tempdir(files, ["maxent", "--constraints", "constraints.json", *flags])
         yield f"maxent {name} {code} {digest(out)} {digest(err)}"
 
 
