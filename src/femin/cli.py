@@ -72,9 +72,11 @@ def _ensure_numeric_tree(node, where):
         raise InputError(f"{where}: expected a number, got {node!r}")
 
 
+def _is_number_list(node) -> bool:
+    return isinstance(node, list) and all(isinstance(v, (int, float)) for v in node)
+
+
 def _from_dict(factory, data, what):
-    if not isinstance(data, dict):
-        raise InputError(f"malformed {what}: expected a JSON object")
     _ensure_numeric_tree(data, what)
     try:
         return factory(data)
@@ -124,6 +126,26 @@ def _read_learning_problem(data) -> LearningProblem:
     )
 
 
+def _read_constraints(data) -> list:
+    features, targets = data["features"], data["targets"]
+    if not (isinstance(features, list) and _is_number_list(targets) and len(features) == len(targets)):
+        raise InputError("malformed constraints file: features and targets must be lists of one length")
+    return [MomentConstraint(f, t) for f, t in zip(features, targets)]
+
+
+def _read_features(data) -> LinearFeaturesFunction:
+    rows = data["features"]
+    if not all(_is_number_list(row) and len(row) == len(rows[0]) for row in rows):
+        raise InputError("malformed features file: expected a table, one list of numbers per symbol")
+    return LinearFeaturesFunction.zeros(rows)
+
+
+def _read_loss_table(data) -> list:
+    if not _is_number_list(data):
+        raise InputError("malformed loss table file: expected a flat JSON list")
+    return data
+
+
 def _write_mixture(model: MixtureModel) -> dict:
     """The mixture schema that _read_mixture reads."""
     if model.kind == CATEGORICAL:
@@ -167,10 +189,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _config_echo(args) -> dict:
     return dict(sorted(vars(args).items()))
 
@@ -198,7 +216,7 @@ def _emit_csv(header, rows, args) -> None:
     lines = ["# config=" + json.dumps(_config_echo(args), sort_keys=True, separators=(",", ":"))]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
     _write_text("\n".join(lines) + "\n", args)
 
 
@@ -215,15 +233,7 @@ def cmd_solve(args) -> None:
 
 
 def cmd_maxent(args) -> None:
-    data = _load_json(args.constraints)
-    try:
-        pairs = [
-            (np.asarray(f, dtype=float), float(t))
-            for f, t in zip(data["features"], data["targets"], strict=True)
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed constraints file: {exc!r}") from exc
-    constraints = [MomentConstraint(f, t) for f, t in pairs]
+    constraints = _from_dict(_read_constraints, _load_json(args.constraints), "constraints file")
     alphabet_size = args.alphabet_size
     if alphabet_size is None:
         if not constraints:
@@ -259,10 +269,7 @@ def cmd_elbo(args) -> None:
 
 def cmd_em(args) -> None:
     init = _from_dict(_read_mixture, _load_json(args.model), "model file")
-    data = _load_csv_column(args.data, float)
-    if init.kind == CATEGORICAL:
-        if not np.all(data == np.round(data)):
-            raise InputError(f"{args.data}: categorical observations must be integers")
+    data = _load_csv_column(args.data, int if init.kind == CATEGORICAL else float)
     model, trace = em_fit(init, data, tol=args.tol, max_iter=args.max_iter)
     _emit_json(
         {"model": _write_mixture(model), "trace": trace.tolist(), "iterations": len(trace)}, args
@@ -285,12 +292,7 @@ def cmd_klest(args) -> None:
     else:
         if args.features is None:
             raise InputError("--features is required for --class linear")
-        table = _load_json(args.features)
-        try:
-            features = np.asarray(table["features"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed features file: {exc!r}") from exc
-        init = LinearFeaturesFunction.zeros(features)
+        init = _from_dict(_read_features, _load_json(args.features), "features file")
         if args.alphabet_size is not None:
             _require_same_size(init.alphabet_size, args.alphabet_size, "features and --alphabet-size")
     result = fit_dv(init, samples, steps=args.steps, learning_rate=args.lr)
@@ -331,13 +333,7 @@ def cmd_figure1(args) -> None:
     if args.loss in fig.BUILTIN_LOSSES:
         loss = args.loss
     else:
-        table = _load_json(args.loss)
-        try:
-            loss = np.asarray(table, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"loss table file {args.loss} must hold a JSON number list") from exc
-        if loss.ndim != 1:
-            raise InputError(f"loss table file {args.loss} must hold a flat JSON list")
+        loss = _from_dict(_read_loss_table, _load_json(args.loss), "loss table file")
     temperatures = _parse_number_list(args.temperatures, "--temperatures")
     if not temperatures:
         raise InputError("--temperatures must name at least one temperature")
@@ -435,7 +431,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         _report_error(exc, 2)
         return 2
-    except (FeminError, ValueError, MemoryError) as exc:  # MemoryError: an alphabet too large to allocate
+    except (FeminError, ValueError, MemoryError, OverflowError) as exc:  # too large to allocate or convert
         _report_error(exc, 3)
         return 3
     return 0

@@ -198,31 +198,34 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
     params = init.values if tabular else init.weights
 
     def evaluate(theta):
-        """(objective, ascent direction in theta) for the class's parameters theta."""
+        """(objective, ascent direction in theta); -inf, no direction, where a linear -L overflows."""
         if tabular:
             neg = -theta if init.excluded is None else np.where(init.excluded, -np.inf, -theta)
             return _ascent_terms(neg, samples_p, p_hat, log_q_counts, log_n_q)
         neg = -(init.features @ theta)
+        if not np.isfinite(neg).all():
+            return -np.inf, None
         value, symbol_grad = _ascent_terms(neg, samples_p, p_hat, log_q_counts, log_n_q)
         return value, init.features.T @ symbol_grad
 
-    objective, grad = evaluate(params)
-    trace = [objective]
-    if not np.isfinite(objective):
-        raise NonFinite("objective is non-finite at the initial parameters", trace=np.array(trace))
-    for _ in range(steps):
-        step = learning_rate
-        for _ in range(60):
-            candidate = params + step * grad
-            if not np.all(np.isfinite(candidate)):
-                raise NonFinite("parameters diverged during the fit", trace=np.array(trace))
-            value, cand_grad = evaluate(candidate)
-            if np.isfinite(value) and value >= objective - 1e-12:
-                break
-            step *= 0.5
-        else:
-            break  # no ascent direction survives halving: converged
-        params, objective, grad = candidate, value, cand_grad
-        trace.append(objective)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is non-finite: a halving or NonFinite
+        objective, grad = evaluate(params)
+        trace = [objective]
+        if not np.isfinite(objective):
+            raise NonFinite("objective is non-finite at the initial parameters", trace=np.array(trace))
+        for _ in range(steps):
+            step = learning_rate
+            for _ in range(60):
+                candidate = params + step * grad
+                if not np.all(np.isfinite(candidate)):
+                    raise NonFinite("parameters diverged during the fit", trace=np.array(trace))
+                value, cand_grad = evaluate(candidate)
+                if np.isfinite(value) and value >= objective - 1e-12:
+                    break
+                step *= 0.5
+            else:
+                break  # no ascent direction survives halving: converged
+            params, objective, grad = candidate, value, cand_grad
+            trace.append(objective)
     fn = TabularFunction(params, init.excluded) if tabular else LinearFeaturesFunction(init.features, params)
     return FitResult(fn, float(objective), np.array(trace))

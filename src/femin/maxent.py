@@ -10,9 +10,9 @@ with damped Newton steps. The optimizer is the exponential-family member
 q(x) proportional to exp(sum_k lambda_k f_k(x)).
 
 One constraint is feasible exactly when its target is strictly inside the
-feature's range. For more, the same loop decides joint feasibility, with a
-certificate either way. Feasible: the returned q > 0 meets every moment
-within tol. Infeasible: a unit d with
+feature's range or is a constant feature's value. For more, the same loop
+decides joint feasibility, with a certificate either way. Feasible: the
+returned q > 0 meets every moment within tol. Infeasible: a unit d with
 
     max_x d @ (f(x) - alpha) <= eps  and  min_x d @ (f(x) - alpha) < -eps,
 
@@ -51,11 +51,11 @@ class MomentConstraint:
 class FeasibilityReport:
     """Per-constraint interval checks plus joint feasibility.
 
-    ``violated`` lists 0-based indices of constraints whose target falls
-    outside the open interval (min f_k, max f_k). ``jointly_feasible`` is
-    true when the dual Newton loop found a q > 0 meeting every target within
-    tol. ``certificate`` is None when feasible, else the unit d of the module
-    docstring: +-e_k for the first failed interval check, or the loop's."""
+    ``violated`` lists 0-based indices of constraints whose target is outside
+    (min f_k, max f_k) and f_k is not constant at it. ``jointly_feasible``
+    is true when the dual Newton loop found a q > 0 meeting every target
+    within tol. ``certificate`` is None when feasible, else the unit d of the
+    module docstring: +-e_k for the first failed interval check, or the loop's."""
 
     marginal_ok: tuple
     jointly_feasible: bool
@@ -89,7 +89,7 @@ def _stack_features(constraints):
 
 def _interval_report(features, targets) -> FeasibilityReport:
     high = features.max(axis=1)
-    marginal_ok = tuple(bool(lo < t < hi) for lo, t, hi in zip(features.min(axis=1), targets, high))
+    marginal_ok = tuple(bool(lo < t < hi or lo == t == hi) for lo, t, hi in zip(features.min(axis=1), targets, high))
     violated = tuple(k for k, ok in enumerate(marginal_ok) if not ok)
     if not violated:
         return FeasibilityReport(marginal_ok, True, violated)

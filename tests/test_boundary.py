@@ -71,6 +71,8 @@ JSON_INPUTS = {
         "prior": [0.3, 0.3, 0.4],
         "data_model": [0.4, 0.6],
     },
+    "features": {"features": [[0.0], [1.0], [2.0]]},
+    "loss": [0.0, 1.0, 4.0, 9.0, 16.0, 25.0, 16.0, 9.0, 4.0, 1.0, 0.0, 1.0],
 }
 
 
@@ -89,7 +91,6 @@ def inputs(tmp_path):
         "data": write("data.csv", "".join(f"{v!r}\n" for v in y.tolist())),
         "samples_p": write("samples_p.csv", "0\n1\n1\n2\n2\n2\n"),
         "samples_q": write("samples_q.csv", "0\n0\n1\n2\n1\n0\n"),
-        "features": write("features.json", json.dumps({"features": [[0.0], [1.0], [2.0]]})),
     }
 
 
@@ -117,6 +118,12 @@ def base_commands(files):
             ["figure1", "--n-points", "12", "--temperatures", "1,0.1"],
             ["--x-min", "--x-max", "--n-points", "--temperatures"],
         ),
+        (
+            ["klest", "--class", "linear", "--features", files["features"]]
+            + ["--samples-p", files["samples_p"], "--samples-q", files["samples_q"], "--steps", "20"],
+            [],
+        ),
+        (["figure1", "--loss", files["loss"], "--n-points", "12", "--temperatures", "1,0.1"], []),
     ]
 
 
@@ -288,7 +295,8 @@ def test_removed_flag_is_an_input_error(inputs, command, flag):
     assert json.loads(err) == {"error": "InputError", "exit_code": 2, "message": f"unrecognized arguments: {flag}=1"}
 
 
-FILE_EDGE_VALUES = ([], {}, 0, -1, 1e308, -1e308, 5e-324, "x", None, True, [[1.0]])
+# 10**400 is a JSON integer past the largest double.
+FILE_EDGE_VALUES = ([], {}, 0, -1, 1e308, -1e308, 5e-324, 10**400, "x", None, True, [[1.0]])
 
 
 def positions(node, path=()):
@@ -302,6 +310,13 @@ def positions(node, path=()):
     for key, value in items:
         yield (*path, key)
         yield from positions(value, (*path, key))
+
+
+def entry(node, path):
+    """The entry of node at path."""
+    for key in path:
+        node = node[key]
+    return node
 
 
 def replaced(node, path, value):
@@ -331,9 +346,9 @@ def test_cli_input_file_sweep(inputs, tmp_path):
 
 
 # Values for one line of a CSV column: the edge values, the largest doubles,
-# a value past 2**53 and the symbol 2**53 + 1, whose tabular alphabet is too
-# large to allocate.
-CSV_EDGE_VALUES = (*EDGE_VALUES, "1e308", "-1e308", "1e20", "9007199254740993")
+# a value past 2**53, the symbol 2**53 + 1, whose tabular alphabet is too
+# large to allocate, and a symbol past the int64 range.
+CSV_EDGE_VALUES = (*EDGE_VALUES, "1e308", "-1e308", "1e20", "9007199254740993", "1" + "0" * 23)
 CATEGORICAL_FILES = {
     "categorical.json": {"weights": [0.5, 0.5], "family": "categorical", "emissions": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]},
     "symbols.csv": "0\n1\n2\n2\n1\n0\n",
@@ -360,6 +375,31 @@ def test_cli_csv_line_sweep(inputs, tmp_path):
                 case = with_flag(argv, flag, edited)
                 code, _, err, caught = run_main(case)
                 assert_clean_exit((flag, at, value, case), code, err, caught)
+
+
+def test_every_json_input_rejects_non_numbers(inputs, tmp_path):
+    """A string, true or null at any numeric leaf of any of the eight JSON input kinds is an input error."""
+    fuzzed = tmp_path / "fuzzed.json"
+    commands = [argv for argv, _ in base_commands(inputs)]
+    for name, document in JSON_INPUTS.items():
+        argv = next(argv for argv in commands if inputs[name] in argv)
+        i = argv.index(inputs[name])
+        for path in (path for path in positions(document) if isinstance(entry(document, path), float)):
+            for value in ("0", True, None):
+                fuzzed.write_text(json.dumps(replaced(document, path, value)))
+                code, out, err, _ = run_main([*argv[:i], fuzzed, *argv[i + 1 :]])
+                assert code == 2 and out == "", (name, path, value, err)
+                assert "expected a number" in json.loads(err)["message"], (name, path, value, err)
+
+
+@pytest.mark.parametrize("line", ["1.0", "inf"])
+def test_em_reads_categorical_symbols_as_klest_does(inputs, tmp_path, line):
+    files = write_files(tmp_path, {**CATEGORICAL_FILES, "edited.csv": f"0\n{line}\n1\n"})
+    em = ["em", "--model", files["categorical.json"], "--data", files["edited.csv"]]
+    klest = ["klest", "--samples-p", files["edited.csv"], "--samples-q", inputs["samples_q"]]
+    (em_code, em_out, em_err, _), (klest_code, _, klest_err, _) = run_main(em), run_main(klest)
+    assert em_code == klest_code == 2 and em_out == "", em_err
+    assert em_err == klest_err and f"{line!r} is not a int" in em_err
 
 
 # Inputs whose arithmetic would overflow, by file name: a Gaussian init mean

@@ -328,6 +328,31 @@ class TestFileSchemas:
             with pytest.raises(femin.cli.InputError, match="penalty must be a JSON object"):
                 femin.cli._from_dict(femin.cli._read_problem, data, "problem file")
 
+    def test_constraints_features_and_loss_table_readers(self):
+        constraints = femin.cli._read_constraints({"features": [[0.0, 1.0], [1.0, 1.0]], "targets": [0.3, 1.0]})
+        assert [(c.feature.tolist(), c.target) for c in constraints] == [([0.0, 1.0], 0.3), ([1.0, 1.0], 1.0)]
+        features = femin.cli._read_features({"features": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]})
+        assert features.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]] and features.weights.tolist() == [0.0, 0.0]
+        assert femin.cli._read_loss_table([0.0, 1.0, 4.0]) == [0.0, 1.0, 4.0]
+
+    @pytest.mark.parametrize(
+        ("reader", "data"),
+        [
+            ("_read_constraints", {"features": [[0.0, 1.0]], "targets": [0.3, 0.4]}),
+            ("_read_constraints", {"features": {"a": [0.0, 1.0]}, "targets": {"a": 0.3}}),
+            ("_read_constraints", {"features": [[0.0, 1.0]], "targets": [[0.3]]}),
+            ("_read_features", {"features": [[0.0], [1.0, 2.0]]}),
+            ("_read_features", {"features": [[[0.0]], [1.0]]}),
+            ("_read_features", {"features": [0.0, 1.0]}),
+            ("_read_loss_table", {}),
+            ("_read_loss_table", [[0.0], 1.0]),
+            ("_read_loss_table", 1.0),
+        ],
+    )
+    def test_structural_faults_are_input_errors(self, reader, data):
+        with pytest.raises(femin.cli.InputError, match="malformed"):
+            femin.cli._from_dict(getattr(femin.cli, reader), data, "file")
+
     def test_model_round_trip(self):
         data = {"log_tilde_p": [0.5, -1.5]}
         assert femin.cli._read_model(data).log_tilde_p.tolist() == data["log_tilde_p"]

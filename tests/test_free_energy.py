@@ -351,6 +351,44 @@ def test_kl_large_temperature_limit(losses, t, data):
     assert mean - spread**2 / (2.0 * t) - eps <= j_opt <= mean + eps
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8), st.floats(-3.0, 300.0).map(lambda e: 10.0**e))
+def test_neg_entropy_large_temperature_limit(losses, t):
+    # neg_entropy is KL to the uniform prior minus log n, so the kl bounds
+    # apply to j_opt + T log n with the uniform mean. The rounding term adds
+    # the ulps of T log n, which j_opt carries and the sum cancels.
+    losses = np.array(losses)
+    shifted = minimize_closed_form(neg_entropy_problem(losses, t)).j_opt + t * math.log(losses.size)
+    mean, spread = float(losses.mean()), float(losses.max() - losses.min())
+    eps = 1e-13 * (1.0 + np.abs(losses).max() + t * math.log(losses.size))
+    assert mean - spread**2 / (2.0 * t) - eps <= shifted <= mean + eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+    st.floats(-3.0, 300.0).map(lambda e: 10.0**e),
+    st.sampled_from(KINDS),
+    st.data(),
+)
+def test_minimizer_large_temperature_limit(losses, t, kind, data):
+    # Every entry of the minimizer is within spread / T of the prior, uniform
+    # for neg_entropy. For the Gibbs kinds, J(q*) <= J(p) and Pinsker give a
+    # total variation of at most spread / (2T); for L2, q* is the projection
+    # of p - L / T, and its threshold is within spread / (2T) of the shift.
+    losses = np.array(losses)
+    n = losses.size
+    if kind == NEG_ENTROPY:
+        prior, problem = np.full(n, 1.0 / n), neg_entropy_problem(losses, t)
+    else:
+        prior = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        prior /= prior.sum()
+        problem = (kl_problem if kind == KL_TO_PRIOR else l2_problem)(losses, prior, t)
+    q = minimize_closed_form(problem).q_opt.probs
+    spread = float(losses.max() - losses.min())
+    assert np.abs(q - prior).max() <= spread / t + 1e-14
+
+
 class TestBruteForceOracle:
     def test_zero_loss_recovers_uniform(self):
         sol = brute_force_minimize(neg_entropy_problem([0.0, 0.0]), 1e-3)

@@ -347,6 +347,30 @@ class TestCertificates:
         report = check_feasibility(self.constraints([0.2, 0.3]))
         assert report.feasible and report.certificate is None
 
+    def test_constant_feature_at_its_value_is_met_by_every_q(self):
+        # d @ (f - alpha) is 0 at every symbol, so no certificate can name this constraint
+        constant, moment = MomentConstraint([1.0, 1.0, 1.0], 1.0), MomentConstraint([0.0, 1.0, 2.0], 0.8)
+        for constraints in ([constant], [constant, moment], [moment, constant]):
+            report = check_feasibility(constraints)
+            assert report.feasible and report.certificate is None, report
+        alone = solve_maxent([moment], 3, tol=1e-8).q.probs
+        for constraints in ([constant, moment], [moment, constant]):
+            assert np.abs(solve_maxent(constraints, 3, tol=1e-8).q.probs - alone).max() <= 1e-8
+        assert solve_maxent([constant], 3).q.probs.tolist() == [1 / 3] * 3
+
+    @pytest.mark.parametrize("value", [1.0, 0.1 + 0.2, -3.0])
+    @pytest.mark.parametrize("offset", [-1.0, -0.1, 0.1, 2.0])
+    def test_constant_feature_off_its_value_is_separated(self, value, offset):
+        features = np.array([[value] * 3, [0.0, 1.0, 2.0]])
+        targets = [value + offset, 0.8]
+        constraints = [MomentConstraint(f, t) for f, t in zip(features, targets)]
+        report = check_feasibility(constraints)
+        assert report.violated == (0,)
+        assert_certificate(report, features, targets)
+        with pytest.raises(Infeasible) as err:
+            solve_maxent(constraints, 3)
+        assert_certificate(err.value.report, features, targets)
+
 
 def dependent_features(rng, n, m, n_dependent):
     """m random feature rows on n symbols, the last n_dependent each a random

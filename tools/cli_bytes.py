@@ -19,14 +19,17 @@ part runs three step sizes or inverse temperatures near the largest double: a
 multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
 `pacbayes` at beta = 1e308 with losses in [2, 3], and `posterior` on
 log-weights of +-1e308; its lines hash stdout and stderr. The input part
-runs fourteen inputs that the CLI must reject with exit 2 or 3 and a JSON
+runs nineteen inputs that the CLI must reject with exit 2 or 3 and a JSON
 error (empty `--l`, `--target` and `--x0`, `klest --lr inf` and
 `--alphabet-size 0`, `maxent --alphabet-size` off the features' size,
 `figure1 --x-max=inf`, a `figure1` range whose end prior weights
 round to zero, a list as `solve`'s penalty, `maxent --tol nan`,
 `solve --seed 1`, a flag that `solve` does not declare, `pacbayes` with
-b = 1e308, an `em` init mean of 1e308 and a `figure1 --loss` table spanning
-more than the largest double); its lines hash stdout and stderr together,
+b = 1e308, an `em` init mean of 1e308, a `figure1 --loss` table spanning
+more than the largest double, a string target and mismatched features and
+targets in a `maxent` constraints file, `true` in a `klest` features file,
+`null` in a `figure1` loss table and a `1.0` line in categorical `em`
+data); its lines hash stdout and stderr together,
 so a changed error message shows. The pacbayes part runs
 the coverage experiment on seeded tables of 8, 9 and 33 hypotheses (numpy
 sums rows of 8 or more entries pairwise), at the default `--trials 2000`,
@@ -251,6 +254,30 @@ INPUT_CASES = (
         ["em", "--model", "model.json", "--data", "data.csv"],
     ),
     ("figure1-loss-span", {"loss.json": json.dumps([1e308, -1e308] + [0.0] * 9)}, ["figure1", "--loss", "loss.json", "--n-points", "11"]),
+    (
+        "maxent-string-target",
+        {"constraints.json": json.dumps({"features": [[0, 1, 2]], "targets": ["1.2"]})},
+        ["maxent", "--constraints", "constraints.json"],
+    ),
+    (
+        "maxent-targets-mismatch",
+        {"constraints.json": json.dumps({"features": [[0, 1, 2]], "targets": [1.2, 0.5]})},
+        ["maxent", "--constraints", "constraints.json"],
+    ),
+    (
+        "klest-features-true",
+        {**KLEST_FILES, "features.json": json.dumps({"features": [[0.0], [True], [2.0]]})},
+        [*KLEST, "--class", "linear", "--features", "features.json"],
+    ),
+    ("figure1-loss-null", {"loss.json": json.dumps([None] + [0.0] * 10)}, ["figure1", "--loss", "loss.json", "--n-points", "11"]),
+    (
+        "em-categorical-float-line",
+        {
+            "model.json": json.dumps({"weights": [0.5, 0.5], "family": "categorical", "emissions": [[0.5, 0.5], [0.2, 0.8]]}),
+            "data.csv": "0\n1.0\n1\n",
+        },
+        ["em", "--model", "model.json", "--data", "data.csv"],
+    ),
 )
 
 
