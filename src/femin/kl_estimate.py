@@ -28,24 +28,13 @@ from .simplex import _as_readonly_vector, _check_count, _positive, _require_same
 
 @dataclass(frozen=True)
 class TabularFunction:
-    """One real value per alphabet symbol.
-
-    `excluded` marks symbols that behave as if L were +inf there (they carry
-    zero weight exp(-L) = 0) while keeping the stored parameters finite.
-    """
+    """One value of L per alphabet symbol: a real, or +inf, which gives the
+    symbol zero weight exp(-L) = 0 (the optimum's value where p(x) = 0)."""
 
     values: np.ndarray
-    excluded: np.ndarray | None = None
 
     def __post_init__(self):
-        values = _as_readonly_vector(self.values, "values")
-        object.__setattr__(self, "values", values)
-        if self.excluded is not None:
-            excluded = np.array(self.excluded, dtype=bool, copy=True)
-            if excluded.shape != values.shape:
-                raise ValueError("excluded mask must match values")
-            excluded.setflags(write=False)
-            object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "values", _as_readonly_vector(self.values, "values", pos_inf=True))
 
     @classmethod
     def zeros(cls, alphabet_size: int) -> "TabularFunction":
@@ -56,11 +45,7 @@ class TabularFunction:
         return self.values.size
 
     def neg_values(self) -> np.ndarray:
-        """-L per symbol; excluded symbols get -inf."""
-        neg = -self.values
-        if self.excluded is not None:
-            neg = np.where(self.excluded, -np.inf, neg)
-        return neg
+        return -self.values
 
 
 @dataclass(frozen=True)
@@ -142,20 +127,15 @@ def dv_objective_population(fn, p: FiniteDistribution, q: FiniteDistribution) ->
 
 
 def exact_dv_optimum(p: FiniteDistribution, q: FiniteDistribution) -> TabularFunction:
-    """The maximizing table L*(x) = -log(p(x)/q(x)).
-
-    Symbols with p(x) = 0 would need L* = +inf; they are marked excluded
-    instead, keeping the stored parameters finite.
-    """
+    """The maximizing table L*(x) = -log(p(x)/q(x)), +inf where p(x) = 0."""
     _require_same_size(p.alphabet_size, q.alphabet_size, "p and q")
     p_support = p.probs > SUPPORT_EPS
     if np.any(p_support & (q.probs <= SUPPORT_EPS)):
         bad = int(np.nonzero(p_support & (q.probs <= SUPPORT_EPS))[0][0])
         raise SupportViolation(f"p has mass at symbol {bad} where q has none")
-    values = np.zeros(p.alphabet_size)
+    values = np.full(p.alphabet_size, np.inf)
     values[p_support] = -(np.log(p.probs[p_support]) - np.log(q.probs[p_support]))
-    excluded = ~p_support
-    return TabularFunction(values, excluded if excluded.any() else None)
+    return TabularFunction(values)
 
 
 @dataclass(frozen=True)
@@ -196,12 +176,12 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
     log_n_q = float(np.log(samples.samples_q.size))
     tabular = isinstance(init, TabularFunction)
     params = init.values if tabular else init.weights
+    finite = None if np.isfinite(params).all() else np.isfinite(params)  # +inf: zero weight and gradient, stays +inf
 
     def evaluate(theta):
         """(objective, ascent direction in theta); -inf, no direction, where a linear -L overflows."""
         if tabular:
-            neg = -theta if init.excluded is None else np.where(init.excluded, -np.inf, -theta)
-            return _ascent_terms(neg, samples_p, p_hat, log_q_counts, log_n_q)
+            return _ascent_terms(-theta, samples_p, p_hat, log_q_counts, log_n_q)
         neg = -(init.features @ theta)
         if not np.isfinite(neg).all():
             return -np.inf, None
@@ -217,7 +197,7 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
             step = learning_rate
             for _ in range(60):
                 candidate = params + step * grad
-                if not np.all(np.isfinite(candidate)):
+                if not np.isfinite(candidate).all() and (finite is None or not np.isfinite(candidate[finite]).all()):
                     raise NonFinite("parameters diverged during the fit", trace=np.array(trace))
                 value, cand_grad = evaluate(candidate)
                 if np.isfinite(value) and value >= objective - 1e-12:
@@ -227,5 +207,5 @@ def fit_dv(init, samples: SamplePair, steps: int = 500, learning_rate: float = 0
                 break  # no ascent direction survives halving: converged
             params, objective, grad = candidate, value, cand_grad
             trace.append(objective)
-    fn = TabularFunction(params, init.excluded) if tabular else LinearFeaturesFunction(init.features, params)
+    fn = TabularFunction(params) if tabular else LinearFeaturesFunction(init.features, params)
     return FitResult(fn, float(objective), np.array(trace))

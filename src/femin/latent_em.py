@@ -29,6 +29,9 @@ VARIANCE_FLOOR = 1e-6
 DEGENERATE_MASS = 1e-12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# Entered once per call: log 0 = -inf, an overflowing (y - mean)^2 / (2 variance) is a
+# zero density (as in the tilt), and _m_step raises on an overflowing sum.
+_quiet = np.errstate(divide="ignore", over="ignore")
 
 
 @dataclass(frozen=True)
@@ -120,15 +123,14 @@ def _arrays(model: MixtureModel):
 
 
 def _log_joint(weights: np.ndarray, theta, y: np.ndarray) -> np.ndarray:
-    """K x n table of log(weight_k * p_k(y_i)); -inf marks zero probability."""
+    """K x n table of log(weight_k * p_k(y_i)); -inf marks zero probability. Run under _quiet."""
     emissions, means, variances = theta
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-        if emissions is not None:
-            log_dens = np.log(emissions).take(y, axis=1)  # C-contiguous, unlike emissions[:, y]
-        else:
-            diff = y[None, :] - means[:, None]
-            log_dens = -0.5 * (_LOG_2PI + np.log(variances)[:, None]) - diff**2 / (2.0 * variances[:, None])
+    log_w = np.log(weights)
+    if emissions is not None:
+        log_dens = np.log(emissions).take(y, axis=1)  # C-contiguous, unlike emissions[:, y]
+    else:
+        diff = y[None, :] - means[:, None]
+        log_dens = -0.5 * (_LOG_2PI + np.log(variances)[:, None]) - diff**2 / (2.0 * variances[:, None])
     return log_w[:, None] + log_dens
 
 
@@ -141,17 +143,20 @@ def _posterior(weights: np.ndarray, theta, y: np.ndarray):
     return probs, row_log_lik
 
 
+@_quiet
 def marginal_log_likelihood(model: MixtureModel, data) -> float:
     """sum_i log sum_k weight_k p_k(y_i), each inner sum max-shifted."""
     return float(gibbs(_log_joint(*_arrays(model), _check_data(model, data)), axis=0)[1].sum())
 
 
+@_quiet
 def e_step(model: MixtureModel, data) -> np.ndarray:
     """Posterior over components for each observation (Bayes rule): an
     n x K array whose rows sum to 1, a view of the loop's K x n table."""
     return _posterior(*_arrays(model), _check_data(model, data))[0].T
 
 
+@_quiet
 def m_step(model: MixtureModel, data, resp) -> MixtureModel:
     """Responsibility-weighted maximum likelihood for weights and emissions,
     given an n x K array of responsibilities (rows on the simplex).
@@ -183,7 +188,7 @@ def _stats(emissions, y: np.ndarray) -> np.ndarray:
 
 def _m_step(theta, stats: np.ndarray, r: np.ndarray):
     """m_step's arithmetic on _stats of checked observations and a K x n
-    table: (weights, theta) from the previous theta."""
+    table: (weights, theta) from the previous theta. Run under _quiet."""
     emissions, means, variances = theta
     mass = r.sum(axis=1)
     degenerate = mass < DEGENERATE_MASS
@@ -192,7 +197,7 @@ def _m_step(theta, stats: np.ndarray, r: np.ndarray):
             f"components {np.nonzero(degenerate)[0].tolist()} received no responsibility mass; "
             "keeping their previous parameters",
             DegenerateComponentWarning,
-            stacklevel=3,
+            stacklevel=4,  # past m_step or em_fit and its _quiet wrapper, to their caller
         )
     weights = np.maximum(mass, DEGENERATE_MASS)
     weights = weights / weights.sum()
@@ -205,12 +210,20 @@ def _m_step(theta, stats: np.ndarray, r: np.ndarray):
         return weights, (new_emissions, None, None)
     work = r * stats  # the one K x n temporary; the variance pass reuses it
     new_means = work.sum(axis=1) / safe_mass
+    _check_sum(new_means, "y")
     np.square(np.subtract(stats, new_means[:, None], out=work), out=work)
     sq = np.multiply(work, r, out=work).sum(axis=1) / safe_mass
+    _check_sum(sq, "(y - mean)^2")
     new_variances = np.where(degenerate, variances, np.maximum(sq, VARIANCE_FLOOR))
     return weights, (None, np.where(degenerate, means, new_means), new_variances)
 
 
+def _check_sum(moments, what):
+    if not np.isfinite(moments).all():
+        raise ValueError(f"observations too large: the M-step's weighted sum of {what} overflows")
+
+
+@_quiet
 def em_fit(init: MixtureModel, data, tol: float = 1e-8, max_iter: int = 500):
     """Alternate E and M steps until the marginal log-likelihood moves by
     less than tol. Returns (model, trace) with one trace entry per M-step;

@@ -9,10 +9,11 @@ concave dual
 with damped Newton steps. The optimizer is the exponential-family member
 q(x) proportional to exp(sum_k lambda_k f_k(x)).
 
-One constraint is feasible exactly when its target is strictly inside the
-feature's range or is a constant feature's value. For more, the same loop
-decides joint feasibility, with a certificate either way. Feasible: the
-returned q > 0 meets every moment within tol. Infeasible: a unit d with
+One constraint passes the interval test exactly when its target is strictly
+inside the feature's range or every f(x) is within eps (below) of it. For
+more, the same loop decides joint feasibility, with a certificate either
+way. Feasible: the returned q > 0 meets every moment within tol.
+Infeasible: a unit d with
 
     max_x d @ (f(x) - alpha) <= eps  and  min_x d @ (f(x) - alpha) < -eps,
 
@@ -52,9 +53,9 @@ class FeasibilityReport:
     """Per-constraint interval checks plus joint feasibility.
 
     ``violated`` lists 0-based indices of constraints whose target is outside
-    (min f_k, max f_k) and f_k is not constant at it. ``jointly_feasible``
-    is true when the dual Newton loop found a q > 0 meeting every target
-    within tol. ``certificate`` is None when feasible, else the unit d of the
+    (min f_k, max f_k) and f_k is not within eps of it at every symbol.
+    ``jointly_feasible`` is true when the dual Newton loop found a q > 0
+    meeting every target within tol. ``certificate`` is None when feasible, else the unit d of the
     module docstring: +-e_k for the first failed interval check, or the loop's."""
 
     marginal_ok: tuple
@@ -76,7 +77,8 @@ class MaxEntSolution:
     dual_trace: np.ndarray  # dual value after each accepted update
 
 
-def _stack_features(constraints):
+def _stack_features(constraints, tol):
+    """(f, alpha, f - alpha, eps) of the certificate's test (module docstring)."""
     for k, c in enumerate(constraints):
         what = f"all features must share the alphabet size; features 0 and {k}"
         _require_same_size(constraints[0].feature.size, c.feature.size, what)
@@ -84,17 +86,21 @@ def _stack_features(constraints):
     with np.errstate(over="ignore"):  # Newton's fallback step divides by the largest sum
         if not np.isfinite((features * features).sum(axis=0)).all():
             raise ValueError("features too large: their squares summed over the constraints overflow at a symbol")
-    return features, np.array([c.target for c in constraints], dtype=float)
+    targets = np.array([c.target for c in constraints], dtype=float)
+    return features, targets, features - targets[:, None], tol * (1.0 + float(np.abs(features).max()))
 
 
-def _interval_report(features, targets) -> FeasibilityReport:
-    high = features.max(axis=1)
-    marginal_ok = tuple(bool(lo < t < hi or lo == t == hi) for lo, t, hi in zip(features.min(axis=1), targets, high))
-    violated = tuple(k for k, ok in enumerate(marginal_ok) if not ok)
+def _interval_report(shifted, eps) -> FeasibilityReport:
+    """Flags constraint k when its target is at or past an end of f_k's range and +-e_k
+    meets the certificate's test, so a feature within eps of its target at every symbol is met."""
+    low, high = shifted.min(axis=1), shifted.max(axis=1)
+    above = (high <= 0.0) & (low < -eps)
+    flagged = above | ((low >= 0.0) & (high > eps))
+    violated, marginal_ok = tuple(np.flatnonzero(flagged).tolist()), tuple((~flagged).tolist())
     if not violated:
         return FeasibilityReport(marginal_ok, True, violated)
-    d = np.zeros(len(targets))
-    d[violated[0]] = 1.0 if targets[violated[0]] >= high[violated[0]] else -1.0
+    d = np.zeros(len(shifted))
+    d[violated[0]] = 1.0 if above[violated[0]] else -1.0
     return FeasibilityReport(marginal_ok, False, violated, tuple(d.tolist()))
 
 
@@ -116,7 +122,7 @@ def _raise_if_separating(shifted, candidates, eps):
         raise _infeasible(FeasibilityReport((True,) * len(shifted), False, (), tuple(d[hits[0]].tolist())))
 
 
-def _dual_newton(features, targets, tol, max_iter):
+def _dual_newton(features, targets, shifted, eps, tol, max_iter):
     """Damped Newton on the dual from lambda = 0: (lambdas, q, iterations,
     residual, dual trace) once q meets the moments within tol. Each step is
     Cov_q(f)^-1 grad on the covariance's eigenvectors, with 1 / max_x |f(x)|^2
@@ -130,8 +136,6 @@ def _dual_newton(features, targets, tol, max_iter):
     projected onto the normals of the face of the symbols with
     q > sqrt(tol), where a boundary target sits."""
     m = features.shape[0]
-    shifted = features - targets[:, None]
-    eps = tol * (1.0 + float(np.abs(features).max()))
 
     def dual(lam):
         return float(lam @ targets - log_sum_exp(lam @ features))
@@ -182,17 +186,18 @@ def _dual_newton(features, targets, tol, max_iter):
 
 
 def check_feasibility(constraints) -> FeasibilityReport:
-    """Check that each target is strictly inside its feature's value range,
-    and (for two or more constraints) that solve_maxent's loop finds a q > 0
-    meeting all targets within tol = 1e-8, not a certificate (module
-    docstring). Raises NotConverged when it finds neither in 200 iterations."""
+    """Check that each target is strictly inside its feature's value range
+    or within eps of every value, and (for two or more constraints) that
+    solve_maxent's loop finds a q > 0 meeting all targets within tol = 1e-8,
+    not a certificate (module docstring). Raises NotConverged when it finds
+    neither in 200 iterations."""
     if len(constraints) == 0:
         return FeasibilityReport((), True, ())
-    features, targets = _stack_features(constraints)
-    report = _interval_report(features, targets)
+    features, targets, shifted, eps = _stack_features(constraints, 1e-8)
+    report = _interval_report(shifted, eps)
     if report.feasible and len(constraints) > 1:
         try:
-            _dual_newton(features, targets, 1e-8, 200)
+            _dual_newton(features, targets, shifted, eps, 1e-8, 200)
         except Infeasible as err:
             return err.report
     return report
@@ -212,12 +217,12 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
     m = len(constraints)
     if m == 0:
         return MaxEntSolution(np.zeros(0), FiniteDistribution.uniform(n_x), 0, 0.0, np.array([-np.log(n_x)]))
-    features, targets = _stack_features(constraints)
+    features, targets, shifted, eps = _stack_features(constraints, tol)
     _require_same_size(features.shape[1], n_x, "features and alphabet")
     if m > n_x - 1:
         raise ValueError(f"at most {n_x - 1} constraints supported on {n_x} symbols, got {m}")
-    report = _interval_report(features, targets)
+    report = _interval_report(shifted, eps)
     if not report.feasible:
         raise _infeasible(report)
-    lam, q, iterations, residual, dual_trace = _dual_newton(features, targets, tol, max_iter)
+    lam, q, iterations, residual, dual_trace = _dual_newton(features, targets, shifted, eps, tol, max_iter)
     return MaxEntSolution(lam, FiniteDistribution._owned(q), iterations, residual, dual_trace)

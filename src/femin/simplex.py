@@ -20,14 +20,14 @@ SUPPORT_EPS = 1e-15
 NORMALIZATION_TOL = 1e-9
 
 
-def _as_readonly_vector(values, name):
+def _as_readonly_vector(values, name, pos_inf=False):
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    if not (arr > -np.inf if pos_inf else np.isfinite(arr)).all():  # NaN fails both
+        raise ValueError(f"{name} must be finite" + (" or +inf" if pos_inf else ""))
     arr.setflags(write=False)
     return arr
 

@@ -404,7 +404,8 @@ def test_em_reads_categorical_symbols_as_klest_does(inputs, tmp_path, line):
 
 # Inputs whose arithmetic would overflow, by file name: a Gaussian init mean
 # of +-1e308 or a variance of 1e308, data near 1e200, a posterior whose shift
-# by the max overflows, and a loss table whose span does.
+# by the max overflows, a loss table whose span does, and 1000 observations
+# at 1e306, whose M-step sum does.
 OVERFLOW_FILES = {
     "constraints.json": {"features": [[0.0, 1e308, 2.0]], "targets": [1.2]},
     "model.json": {"log_tilde_p": [1e308, -1e308]},
@@ -415,6 +416,8 @@ OVERFLOW_FILES = {
     "var.json": replaced(JSON_INPUTS["init"], ("emissions", "vars", 0), 1e308),
     "data.csv": "-2.5\n-1.5\n2.0\n1.0\n",
     "far.csv": "1e200\n1.1e200\n0.9e200\n",
+    "huge.json": replaced(JSON_INPUTS["init"], ("emissions", "means"), [1e306, 1e306]),
+    "huge.csv": "1e306\n" * 1000,
 }
 EM_OVERFLOWS = [("mean.json", "data.csv"), ("neg_mean.json", "data.csv"), ("var.json", "data.csv"), ("init.json", "far.csv")]
 
@@ -517,8 +520,9 @@ class TestCliDefectInputs:
             (["posterior", "--model", "model.json"], '"log_partition":1e+308,"posterior":[1.0,0.0]'),
             (["figure1", "--loss", "loss.json", "--n-points", "11"], "span 1e+308 - -1e+308 exceeds the largest double"),
             *((["em", "--model", model, "--data", data], "model and observations too large") for model, data in EM_OVERFLOWS),
+            (["em", "--model", "huge.json", "--data", "huge.csv"], "the M-step's weighted sum of y overflows"),
         ],
-        ids=["mirror", "figure1", "maxent", "posterior", "figure1-loss", "em-mean", "em-neg-mean", "em-var", "em-far"],
+        ids=["mirror", "figure1", "maxent", "posterior", "figure1-loss", "em-mean", "em-neg-mean", "em-var", "em-far", "em-sum"],
     )
     def test_overflowing_inputs_under_w_error(self, overflow_files, argv, text):
         """Exit 3 with the JSON error, or for the posterior exit 0, with `text`
@@ -560,6 +564,50 @@ class TestCliDefectInputs:
         for call in calls:
             with pytest.raises(ValueError, match="model and observations too large"):
                 call(model, data)
+
+    @pytest.mark.parametrize(
+        ("means", "data", "what"),
+        [([1e306, 1e306], [1e306] * 1000, "y"), ([5e153, 5e153], [0.0, 1e154] * 500, r"\(y - mean\)\^2")],
+        ids=["mean", "variance"],
+    )
+    def test_em_sums_that_overflow_after_the_start(self, means, data, what):
+        # each component's mean and squared spread is finite, but a weighted sum over the observations is not
+        model = fm.MixtureModel.gaussian1d(fm.FiniteDistribution.uniform(2), means, [1.0, 1.0])
+        resp = np.full((len(data), 2), 0.5)
+        for call in (fm.em_fit, lambda m, y: fm.m_step(m, y, resp)):
+            with pytest.raises(ValueError, match=f"observations too large: the M-step's weighted sum of {what} overflows"):
+                call(model, data)
+
+    def test_em_square_that_overflows_after_the_start_is_a_zero_density(self):
+        # the first M-step floors both variances at 1e-6, so (1e152)^2 / 2e-6 overflows at the other mean
+        model = fm.MixtureModel.gaussian1d(fm.FiniteDistribution.uniform(2), [0.0, 1e152], [1.0, 1.0])
+        fitted, trace = fm.em_fit(model, [0.0, 0.0, 0.0, 1e152])
+        assert fitted.weights.probs.tolist() == [0.75, 0.25] and fitted.variances.tolist() == [1e-6, 1e-6]
+        assert fitted.means.tolist() == [0.0, 1e152] and np.isfinite(trace).all()
+
+    @pytest.mark.parametrize(
+        ("argv", "code", "message"),
+        [
+            (["em", "--model", "init", "--data", "missing.csv"], 2, "cannot read missing.csv: "),
+            (["maxent", "--constraints", "empty"], 2, "--alphabet-size is required when the constraint list is empty"),
+            (["klest", "--class", "linear"], 2, "--features is required for --class linear"),
+            (
+                ["klest", "--class", "linear", "--features", "features", "--alphabet-size", "4"],
+                3,
+                "features and --alphabet-size have lengths 3 and 4",
+            ),
+            (["mirror", "--oracle", "quadratic-to-target"], 2, "--target is required for the quadratic-to-target oracle"),
+        ],
+        ids=["em-missing-data", "maxent-empty", "klest-no-features", "klest-alphabet-size", "mirror-no-target"],
+    )
+    def test_missing_or_mismatched_inputs(self, inputs, tmp_path, argv, code, message):
+        files = {**inputs, "empty": write_files(tmp_path, {"empty.json": '{"features": [], "targets": []}'})["empty.json"]}
+        if argv[0] == "klest":
+            argv = [*argv, "--samples-p", "samples_p", "--samples-q", "samples_q"]
+        argv = [files.get(token, token) for token in argv]
+        got, out, err, caught = run_main(argv)
+        assert_clean_exit(argv, got, err, caught)
+        assert got == code and out == "" and json.loads(err)["message"].startswith(message), err
 
     @pytest.mark.parametrize(("a", "b"), [(-1e308, 1.0), (0.0, 1e308), (-1e308, 1e308)])
     def test_loss_range_whose_square_overflows(self, tmp_path, a, b):

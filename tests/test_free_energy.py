@@ -411,6 +411,8 @@ class TestBruteForceOracle:
             brute_force_minimize(problem, 0.5)
         with pytest.raises(ValueError):
             brute_force_minimize(problem, 0.0)
+        with pytest.raises(ValueError, match="1/grid_step must be an integer, got grid_step=0.003"):
+            brute_force_minimize(problem, 0.003)
 
 
 def recursive_simplex_grid(total, parts):

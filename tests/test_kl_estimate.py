@@ -75,6 +75,22 @@ class TestDvObjective:
             dv_objective(TabularFunction.zeros(2), SamplePair([0, 2], [0]))
 
 
+class TestFunctionClasses:
+    def test_table_entries_are_real_or_plus_inf(self):
+        assert TabularFunction([np.inf, 0.0]).neg_values().tolist() == [-np.inf, -0.0]
+        for bad in ([np.nan, 0.0], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="values must be finite or \\+inf"):
+                TabularFunction(bad)
+        with pytest.raises(ValueError, match="values must be one-dimensional"):
+            TabularFunction([[0.0, 1.0]])
+        with pytest.raises(ValueError, match="values must have at least one entry"):
+            TabularFunction([])
+
+    def test_linear_weights_must_match_the_features(self):
+        with pytest.raises(ValueError, match=r"weights must have shape \(2,\)"):
+            LinearFeaturesFunction([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0, 3.0])
+
+
 class TestDvObjectivePopulation:
     def test_exact_optimum_attains_kl(self):
         p = FiniteDistribution([0.75, 0.25])
@@ -101,6 +117,10 @@ class TestDvObjectivePopulation:
             fn = TabularFunction(rng.normal(scale=2.0, size=n))
             assert dv_objective_population(fn, p, q) <= kl_divergence(p, q) + 1e-12
 
+    def test_p_mass_on_a_plus_inf_symbol_gives_minus_inf(self):
+        p = FiniteDistribution([0.5, 0.5])
+        assert dv_objective_population(TabularFunction([np.inf, 0.0]), p, p) == -np.inf
+
     def test_shift_invariance(self):
         p = FiniteDistribution([0.8, 0.2])
         q = FiniteDistribution([0.5, 0.5])
@@ -124,7 +144,7 @@ class TestExactDvOptimum:
         p = FiniteDistribution([0.0, 1.0])
         q = FiniteDistribution([0.5, 0.5])
         fn = exact_dv_optimum(p, q)
-        assert fn.excluded is not None and bool(fn.excluded[0])
+        assert fn.values[0] == np.inf  # L* = -log(p/q) = +inf where p = 0
         assert dv_objective_population(fn, p, q) == pytest.approx(kl_divergence(p, q), abs=1e-12)
 
     def test_support_violation(self):
@@ -197,6 +217,11 @@ class TestFitDv:
                 fit_dv(huge, samples, steps=5, learning_rate=0.1)
         assert err.value.trace is not None
 
+    def test_p_sample_on_a_plus_inf_symbol_raises_at_the_start(self):
+        with pytest.raises(NonFinite, match="non-finite at the initial parameters") as err:
+            fit_dv(TabularFunction([np.inf, 0.0]), SamplePair([0, 1], [1]), steps=5)
+        assert err.value.trace.tolist() == [-np.inf]
+
     def test_diverging_parameters_raise_non_finite(self):
         samples = SamplePair([0, 0, 1], [1, 1, 0])
         init = LinearFeaturesFunction.zeros([[1e300], [-1e300]])
@@ -232,7 +257,7 @@ def dataclass_fit_dv(init, samples, steps, learning_rate):
         log_q_counts = np.log(np.bincount(samples.samples_q, minlength=n))
 
     def rebuild(params):
-        return TabularFunction(params, init.excluded) if tabular else LinearFeaturesFunction(init.features, params)
+        return TabularFunction(params) if tabular else LinearFeaturesFunction(init.features, params)
 
     fn = init
     objective = dv_objective(fn, samples)
@@ -291,9 +316,9 @@ class TestArrayLoopFitDv:
     def test_excluded_symbols_match_reference(self):
         rng = np.random.default_rng(601)
         samples = draw_pair(rng, np.array([0.0, 0.5, 0.5]), np.array([0.3, 0.3, 0.4]), 500, 500)
-        init = TabularFunction([0.0, 0.1, -0.2], excluded=[True, False, False])
+        init = TabularFunction([np.inf, 0.1, -0.2])  # symbol 0: zero weight and zero gradient
         self.assert_close(init, samples, steps=100, learning_rate=1.0)
-        assert fit_dv(init, samples, steps=5).function.excluded.tolist() == [True, False, False]
+        assert fit_dv(init, samples, steps=100, learning_rate=1.0).function.values[0] == np.inf
 
     def test_missing_q_symbols_match_reference(self):
         # symbols absent from the q-sample carry log n_q = -inf in the Gibbs call

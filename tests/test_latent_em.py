@@ -141,8 +141,9 @@ class TestMStep:
         data = np.array([1.0, 2.0])
         model = two_gaussians((0.0, 7.0), (1.0, 3.0))
         resp = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.warns(DegenerateComponentWarning):
+        with pytest.warns(DegenerateComponentWarning) as caught:
             fitted = m_step(model, data, resp)
+        assert caught[0].filename == __file__  # the warning names the caller's line
         assert fitted.means[1] == 7.0
         assert fitted.variances[1] == 3.0
         assert fitted.weights.probs[1] <= 1e-11
@@ -523,3 +524,27 @@ class TestModelValidation:
     def test_variance_floor_enforced_at_construction(self):
         with pytest.raises(ValueError):
             MixtureModel.gaussian1d(FiniteDistribution([1.0]), [0.0], [1e-9])
+
+    @pytest.mark.parametrize(
+        ("kind", "fields", "message"),
+        [
+            (CATEGORICAL, {"emissions": [[1.0], [1.0]], "means": [0.0, 1.0]}, "categorical mixtures take an emissions table only"),
+            (CATEGORICAL, {"emissions": [[1.0]]}, "emissions must be a 2 x V table"),
+            (GAUSSIAN1D, {"emissions": [[1.0], [1.0]], "means": [0.0, 1.0], "variances": [1.0, 1.0]}, "gaussian1d mixtures take means and variances only"),
+            (GAUSSIAN1D, {"means": [0.0], "variances": [1.0, 1.0]}, r"means and variances must have shape \(2,\)"),
+            (GAUSSIAN1D, {"means": [0.0, 1.0], "variances": [1.0]}, r"means and variances must have shape \(2,\)"),
+            ("poisson", {}, "unknown mixture kind 'poisson'"),
+        ],
+    )
+    def test_fields_must_match_the_kind(self, kind, fields, message):
+        with pytest.raises(ValueError, match=message):
+            MixtureModel(FiniteDistribution.uniform(2), kind, **fields)
+
+    def test_n_symbols_is_categorical_only(self):
+        model = MixtureModel.gaussian1d(FiniteDistribution([1.0]), [0.0], [1.0])
+        with pytest.raises(ValueError, match="n_symbols applies to categorical mixtures only"):
+            model.n_symbols
+
+    def test_default_init_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown mixture kind 'poisson'"):
+            default_init([0.0, 1.0], 2, "poisson")

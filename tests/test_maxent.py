@@ -42,6 +42,11 @@ class TestCheckFeasibility:
         assert not report.feasible
         assert report.violated == (0,)
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_target_must_be_finite(self, target):
+        with pytest.raises(ValueError, match="target must be finite"):
+            MomentConstraint([0.0, 1.0], target)
+
     def test_boundary_target_excluded(self):
         report = check_feasibility([MomentConstraint([0.0, 1.0], 1.0)])
         assert not report.feasible
@@ -357,6 +362,20 @@ class TestCertificates:
         for constraints in ([constant, moment], [moment, constant]):
             assert np.abs(solve_maxent(constraints, 3, tol=1e-8).q.probs - alone).max() <= 1e-8
         assert solve_maxent([constant], 3).q.probs.tolist() == [1 / 3] * 3
+
+    @pytest.mark.parametrize(
+        ("feature", "target"), [([0.1 + 0.2] * 3, 0.3), ([1.0, 1.0 + 1e-10, 1.0], 1.0 + 1e-10)], ids=["0.3", "1e-10"]
+    )
+    def test_feature_within_eps_of_its_target_is_met(self, feature, target):
+        # off the target by less than eps at every symbol: +-e_k fails the certificate's test
+        near, moment = MomentConstraint(feature, target), MomentConstraint([0.0, 1.0, 2.0], 0.8)
+        for constraints in ([near], [near, moment], [moment, near]):
+            report = check_feasibility(constraints)
+            features, targets = np.array([c.feature for c in constraints]), [c.target for c in constraints]
+            if report.certificate is not None:
+                assert_certificate(report, features, targets)
+            q = solve_maxent(constraints, 3, tol=1e-8).q.probs
+            assert np.abs(features @ q - targets).max() <= 1e-8
 
     @pytest.mark.parametrize("value", [1.0, 0.1 + 0.2, -3.0])
     @pytest.mark.parametrize("offset", [-1.0, -0.1, 0.1, 2.0])

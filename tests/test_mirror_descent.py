@@ -70,6 +70,10 @@ class TestNegStep:
         with pytest.raises(ZeroCoordinate):
             neg_step(FiniteDistribution([1.0, 0.0]), np.zeros(2), 0.1)
 
+    def test_gradient_must_match_the_iterate(self):
+        with pytest.raises(ValueError, match=r"grad has shape \(3,\), expected \(2,\)"):
+            neg_step(FiniteDistribution.uniform(2), np.zeros(3), 0.1)
+
 
 class TestProjection:
     def test_already_on_simplex(self):

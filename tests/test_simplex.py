@@ -99,6 +99,9 @@ class TestFiniteDistribution:
         assert np.allclose(d.probs, [0.25, 0.75])
         with pytest.raises(ValueError):
             FiniteDistribution.normalized([0.0, 0.0])
+        for bad in ([[1.0, 2.0]], [], 3.0):
+            with pytest.raises(ValueError, match="weights must be a nonempty vector"):
+                FiniteDistribution.normalized(bad)
 
     def test_normalized_finite_weights_whose_sum_overflows(self):
         assert FiniteDistribution.normalized([1e308, 1e308]).probs.tolist() == [0.5, 0.5]

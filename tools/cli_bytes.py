@@ -14,7 +14,9 @@ on seeds 0-2 each (6 outputs). The maxent part runs four two-constraint
 inputs: one whose Newton steps gain less than an ulp of the dual near tol,
 a jointly infeasible pair on a triangle, a target on that triangle's edge
 and, at `--tol 1e-12`, the dependent features f and 2f, whose covariance is
-singular at every q; its lines hash stderr too, after stdout. The limit
+singular at every q; and two one-constraint inputs whose feature is within
+tol of its target at every symbol but not equal to it; its lines hash
+stderr too, after stdout. The limit
 part runs three step sizes or inverse temperatures near the largest double: a
 multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
 `pacbayes` at beta = 1e308 with losses in [2, 3], and `posterior` on
@@ -29,7 +31,10 @@ b = 1e308, an `em` init mean of 1e308, a `figure1 --loss` table spanning
 more than the largest double, a string target and mismatched features and
 targets in a `maxent` constraints file, `true` in a `klest` features file,
 `null` in a `figure1` loss table and a `1.0` line in categorical `em`
-data); its lines hash stdout and stderr together,
+data), then two Gaussian `em` inputs that pass the start check but
+overflow later: 1000 observations at 1e306, whose M-step sum overflows,
+and data [0, 0, 0, 1e152], whose floored variances overflow an E-step
+square; its lines hash stdout and stderr together,
 so a changed error message shows. The pacbayes part runs
 the coverage experiment on seeded tables of 8, 9 and 33 hypotheses (numpy
 sums rows of 8 or more entries pairwise), at the default `--trials 2000`,
@@ -173,6 +178,8 @@ MAXENT_CASES = (
     ("triangle-infeasible", [[0, 1, 0], [0, 0, 1]], [0.6, 0.6], []),
     ("triangle-boundary", [[0, 1, 0], [0, 0, 1]], [0.5, 0.5], []),
     ("dependent-tol-1e-12", [[0, 1, 2, 3], [0, 2, 4, 6]], [1.2, 2.4], ["--tol", "1e-12"]),
+    ("near-constant-0.3", [[0.1 + 0.2] * 3], [0.3], []),
+    ("near-constant-1e-10", [[1.0, 1.0 + 1e-10, 1.0]], [1.0 + 1e-10], []),
 )
 
 
@@ -208,6 +215,11 @@ def limit_lines():
     for name, files, argv in LIMIT_CASES:
         code, out, err = run_in_tempdir(files, argv)
         yield f"limit {name} {code} {digest(out)} {digest(err)}"
+
+
+def em_gaussian_model(means):
+    """A two-component gaussian1d model file with equal weights and unit variances."""
+    return {"weights": [0.5, 0.5], "family": "gaussian1d", "emissions": {"means": means, "vars": [1.0, 1.0]}}
 
 
 KLEST_FILES = {"p.csv": "0\n1\n1\n2\n", "q.csv": "0\n2\n1\n0\n"}
@@ -276,6 +288,16 @@ INPUT_CASES = (
             "model.json": json.dumps({"weights": [0.5, 0.5], "family": "categorical", "emissions": [[0.5, 0.5], [0.2, 0.8]]}),
             "data.csv": "0\n1.0\n1\n",
         },
+        ["em", "--model", "model.json", "--data", "data.csv"],
+    ),
+    (
+        "em-mean-sum-overflow",
+        {"model.json": json.dumps(em_gaussian_model([1e306, 1e306])), "data.csv": "1e+306\n" * 1000},
+        ["em", "--model", "model.json", "--data", "data.csv"],
+    ),
+    (
+        "em-square-overflow",
+        {"model.json": json.dumps(em_gaussian_model([0.0, 1e152])), "data.csv": "0\n0\n0\n1e+152\n"},
         ["em", "--model", "model.json", "--data", "data.csv"],
     ),
 )
