@@ -50,6 +50,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply") from exc
 
 
 _STRING_FIELDS = ("kind", "family")
@@ -77,7 +79,10 @@ def _is_number_list(node) -> bool:
 
 
 def _from_dict(factory, data, what):
-    _ensure_numeric_tree(data, what)
+    try:
+        _ensure_numeric_tree(data, what)
+    except RecursionError as exc:
+        raise InputError(f"{what} is nested too deeply") from exc
     try:
         return factory(data)
     except (KeyError, TypeError, IndexError) as exc:

@@ -2,12 +2,14 @@
 
 Given per-symbol feature tables f_k and targets alpha_k, finds the
 entropy-maximizing distribution with E_q[f_k] = alpha_k by maximizing the
-concave dual
+concave dual over the features centred at their targets (the I-projection
+form, Csiszar 1975), so a common offset in f_k and alpha_k costs no digits,
 
-    d(lambda) = lambda @ alpha - log sum_x exp(sum_k lambda_k f_k(x))
+    d(lambda) = -log sum_x exp(sum_k lambda_k (f_k(x) - alpha_k)),
 
 with damped Newton steps. The optimizer is the exponential-family member
-q(x) proportional to exp(sum_k lambda_k f_k(x)).
+q(x) proportional to exp(sum_k lambda_k f_k(x)). A step is taken whole once
+its gain is within 2 eps_mach |d|, the rounding of two duals.
 
 One constraint passes the interval test exactly when its target is strictly
 inside the feature's range or every f(x) is within eps (below) of it. For
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, NotConverged
-from .simplex import FiniteDistribution, gibbs, log_sum_exp
+from .simplex import FiniteDistribution, gibbs
 from .simplex import _as_readonly_vector, _check_count, _require_same_size
 
 
@@ -78,16 +80,18 @@ class MaxEntSolution:
 
 
 def _stack_features(constraints, tol):
-    """(f, alpha, f - alpha, eps) of the certificate's test (module docstring)."""
+    """(f - alpha, eps) of the certificate's test (module docstring) and Newton's
+    fallback step 1 / max_x |f(x)|^2, floored at the smallest normal double."""
     for k, c in enumerate(constraints):
         what = f"all features must share the alphabet size; features 0 and {k}"
         _require_same_size(constraints[0].feature.size, c.feature.size, what)
     features = np.vstack([c.feature for c in constraints])
-    with np.errstate(over="ignore"):  # Newton's fallback step divides by the largest sum
-        if not np.isfinite((features * features).sum(axis=0)).all():
-            raise ValueError("features too large: their squares summed over the constraints overflow at a symbol")
-    targets = np.array([c.target for c in constraints], dtype=float)
-    return features, targets, features - targets[:, None], tol * (1.0 + float(np.abs(features).max()))
+    with np.errstate(over="ignore"):
+        largest = float((features * features).sum(axis=0).max())
+    if largest == np.inf:
+        raise ValueError("features too large: their squares summed over the constraints overflow at a symbol")
+    targets = np.array([c.target for c in constraints], dtype=float)[:, None]
+    return features - targets, tol * (1.0 + float(np.abs(features).max())), 1.0 / max(largest, np.finfo(float).tiny)
 
 
 def _interval_report(shifted, eps) -> FeasibilityReport:
@@ -122,33 +126,26 @@ def _raise_if_separating(shifted, candidates, eps):
         raise _infeasible(FeasibilityReport((True,) * len(shifted), False, (), tuple(d[hits[0]].tolist())))
 
 
-def _dual_newton(features, targets, shifted, eps, tol, max_iter):
-    """Damped Newton on the dual from lambda = 0: (lambdas, q, iterations,
-    residual, dual trace) once q meets the moments within tol. Each step is
-    Cov_q(f)^-1 grad on the covariance's eigenvectors, with 1 / max_x |f(x)|^2
-    in place of the inverse of each eigenvalue at or below 1e-12 of the
-    largest (of all, when the largest is not positive). It is halved until
-    the dual rises, or taken whole once its Newton decrement is within the
-    dual's rounding; NotConverged if 60 halvings gain nothing. Before that,
-    for two or more constraints, Infeasible if lambda or the last step
-    separates; lambda does once the dual is above 0, as at a feasible target
-    the dual is at most -H(q) <= 0. At that return it also tries both
-    projected onto the normals of the face of the symbols with
-    q > sqrt(tol), where a boundary target sits."""
-    m = features.shape[0]
-
-    def dual(lam):
-        return float(lam @ targets - log_sum_exp(lam @ features))
-
-    fallback_step = 1.0 / float((features * features).sum(axis=0).max())
-    lam = np.zeros(m)
-    direction = np.zeros(m)
-    dual_trace = [dual(lam)]
+def _dual_newton(shifted, eps, fallback_step, tol, max_iter):
+    """Damped Newton on the dual (module docstring) in shifted = f - alpha from
+    lambda = 0: (lambdas, q, iterations, residual, dual trace) once q meets the
+    moments within tol. Each step is Cov_q(f)^-1 grad on the covariance's
+    eigenvectors, with fallback_step in place of the inverse of each eigenvalue
+    at or below 1e-12 of the largest (of all, when the largest is not positive).
+    It is halved until the dual rises, or taken whole once its Newton decrement
+    is within the dual's rounding; NotConverged if 60 halvings gain nothing.
+    Before that, for two or more constraints, Infeasible if lambda or the last
+    step separates; lambda does once the dual is above 0, as at a feasible
+    target the dual is at most -H(q) <= 0. At that return it also tries both
+    projected onto the normals of the face of the symbols with q > sqrt(tol),
+    where a boundary target sits."""
+    m = len(shifted)
+    lam = direction = np.zeros(m)
+    q, log_z = gibbs(lam @ shifted)
+    dual_trace = [-float(log_z)]
     residual = np.inf
     for iteration in range(max_iter):
-        q = gibbs(lam @ features)[0]
-        mean_f = features @ q
-        grad = targets - mean_f
+        grad = -(shifted @ q)
         residual = float(np.abs(grad).max())
         if m > 1:  # for one constraint the interval check was exact
             candidates = [lam, direction]
@@ -159,28 +156,26 @@ def _dual_newton(features, targets, shifted, eps, tol, max_iter):
             _raise_if_separating(shifted, candidates, eps)
         if residual <= tol:
             return lam, q, iteration, residual, np.array(dual_trace)
-        cov = (features * q) @ features.T - np.outer(mean_f, mean_f)
-        vals, vecs = np.linalg.eigh(cov)
+        centred = shifted + grad[:, None]
+        vals, vecs = np.linalg.eigh((centred * q) @ centred.T)
         inv = np.divide(1.0, vals, out=np.full(m, fallback_step), where=vals > 1e-12 * max(vals[-1], 0.0))
         direction = vecs @ (inv * (vecs.T @ grad))
-        # A full step gains about the Newton decrement grad @ direction / 2
-        # (Boyd & Vandenberghe 9.5). A gain is the difference of two rounded
-        # duals, lam @ alpha - log Z; once the decrement is within that
-        # rounding, no halving can show a gain.
+        # A full step gains about the Newton decrement grad @ direction / 2 (Boyd &
+        # Vandenberghe 9.5). A gain is the difference of two rounded duals -log Z;
+        # once the decrement is within that rounding, no halving can show a gain.
         current = dual_trace[-1]
-        lam_alpha = float(lam @ targets)
-        full_step = grad @ direction / 2 <= 2 * np.finfo(float).eps * (abs(lam_alpha) + abs(lam_alpha - current))
+        full_step = grad @ direction / 2 <= 2 * np.finfo(float).eps * abs(current)
         step = 1.0
         for _ in range(60):
-            candidate = dual(lam + step * direction)
-            if candidate > current or full_step:
+            q, log_z = gibbs((lam + step * direction) @ shifted)
+            if -log_z > current or full_step:
                 break
             step *= 0.5
         else:
             message = f"moment residual {residual:.3e} > tol {tol:.3e}: no halving of the Newton step raises the dual"
             raise NotConverged(message, residual=residual, iterations=iteration)
         lam = lam + step * direction
-        dual_trace.append(candidate)
+        dual_trace.append(-float(log_z))
     message = f"moment residual {residual:.3e} > tol {tol:.3e} after {max_iter} iterations"
     raise NotConverged(message, residual=residual, iterations=max_iter)
 
@@ -193,11 +188,11 @@ def check_feasibility(constraints) -> FeasibilityReport:
     neither in 200 iterations."""
     if len(constraints) == 0:
         return FeasibilityReport((), True, ())
-    features, targets, shifted, eps = _stack_features(constraints, 1e-8)
+    shifted, eps, fallback_step = _stack_features(constraints, 1e-8)
     report = _interval_report(shifted, eps)
     if report.feasible and len(constraints) > 1:
         try:
-            _dual_newton(features, targets, shifted, eps, 1e-8, 200)
+            _dual_newton(shifted, eps, fallback_step, 1e-8, 200)
         except Infeasible as err:
             return err.report
     return report
@@ -217,12 +212,12 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
     m = len(constraints)
     if m == 0:
         return MaxEntSolution(np.zeros(0), FiniteDistribution.uniform(n_x), 0, 0.0, np.array([-np.log(n_x)]))
-    features, targets, shifted, eps = _stack_features(constraints, tol)
-    _require_same_size(features.shape[1], n_x, "features and alphabet")
+    shifted, eps, fallback_step = _stack_features(constraints, tol)
+    _require_same_size(shifted.shape[1], n_x, "features and alphabet")
     if m > n_x - 1:
         raise ValueError(f"at most {n_x - 1} constraints supported on {n_x} symbols, got {m}")
     report = _interval_report(shifted, eps)
     if not report.feasible:
         raise _infeasible(report)
-    lam, q, iterations, residual, dual_trace = _dual_newton(features, targets, shifted, eps, tol, max_iter)
+    lam, q, iterations, residual, dual_trace = _dual_newton(shifted, eps, fallback_step, tol, max_iter)
     return MaxEntSolution(lam, FiniteDistribution._owned(q), iterations, residual, dual_trace)

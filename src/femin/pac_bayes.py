@@ -61,7 +61,7 @@ class LearningProblem:
 
 
 def _check_range(a, b) -> tuple[float, float]:
-    """The loss range as floats: finite a < b whose (b - a)^2, in the bound, is finite."""
+    """The loss range as floats: finite a < b whose (b - a)^2 is finite, so the bound is finite for any finite kl."""
     a, b = float(a), float(b)
     if not (np.isfinite(a) and a < b and b - a <= _MAX_WIDTH):
         raise ValueError(f"need finite a < b with a finite (b - a)^2, got a={a!r}, b={b!r}")
@@ -110,7 +110,7 @@ def dv_check(problem: LearningProblem, q: FiniteDistribution, s, beta: float):
 
 
 def pac_bayes_bound(kl: float, m: int, delta: float, a: float, b: float) -> float:
-    """sqrt((b - a)^2 / (2m) * (kl + log(1/delta))).
+    """(b - a) * sqrt((kl + log(1/delta)) / (2m)), finite for any finite kl.
 
     High-probability (1 - delta) bound on the averaged generalization gap of
     any posterior with the given KL to the prior, for losses in [a, b].
@@ -125,7 +125,7 @@ def pac_bayes_bound(kl: float, m: int, delta: float, a: float, b: float) -> floa
 
 
 def _bound(kl, m: int, delta: float, a: float, b: float):  # kl a float or an array
-    return np.sqrt((b - a) ** 2 / (2.0 * m) * (kl - np.log(delta)))
+    return (b - a) * np.sqrt((kl - np.log(delta)) / (2.0 * m))
 
 
 @dataclass(frozen=True)

@@ -618,6 +618,32 @@ class TestCliDefectInputs:
         with pytest.raises(ValueError, match=r"finite \(b - a\)\^2"):
             fm.pac_bayes_bound(0.5, 10, 0.05, a, b)
 
+    def test_loss_range_whose_square_times_kl_overflows(self, tmp_path):
+        """(b - a)^2 kl is past the largest double, (b - a) sqrt(kl) is not."""
+        assert fm.pac_bayes_bound(1e308, 1, 0.5, 0.0, 1e154) == 1e154 * np.sqrt((1e308 - np.log(0.5)) / 2.0)
+        problem = {"loss_table": [[0.0, 1.3e154], [1.3e154, 0.0]], "a": 0.0, "b": 1.3e154}
+        files = write_files(tmp_path, {"problem.json": {**problem, "prior": [0.5, 0.5], "data_model": [0.5, 0.5]}})
+        argv = ["pacbayes", "--problem", files["problem.json"], "--beta", "1", "--m", "1", "--delta", "0.05", "--trials", "100"]
+        code, out, err, caught = run_main(argv)
+        assert_clean_exit(argv, code, err, caught)
+        assert code == 0 and np.isfinite(json.loads(out)["report"]["mean_bound"]), err
+
+    @pytest.mark.parametrize("depth", [990, 5000])
+    def test_json_nested_too_deeply(self, tmp_path, depth):
+        problem = tmp_path / "problem.json"
+        problem.write_text('{"losses": ' + "[" * depth + "0" + "]" * depth + ', "temperature": 1, "penalty": {"kind": "kl"}}')
+        code, out, err, caught = run_main(["solve", "--problem", problem])
+        assert_clean_exit(depth, code, err, caught)
+        assert code == 2 and out == "" and json.loads(err)["message"] == f"{problem} is nested too deeply", err
+
+    def test_numeric_tree_nested_too_deeply(self):
+        losses = 0.0
+        for _ in range(sys.getrecursionlimit()):
+            losses = [losses]
+        document = {"losses": losses, "temperature": 1.0, "penalty": {"kind": "kl"}}
+        with pytest.raises(femin.cli.InputError, match="^problem file is nested too deeply$"):
+            femin.cli._from_dict(femin.cli._read_problem, document, "problem file")
+
     def test_subnormal_delta(self, inputs):
         argv = ["pacbayes", "--problem", inputs["learning"], "--beta", "2", "--m", "5", "--delta", "5e-324"]
         code, out, err, caught = run_main([*argv, "--trials", "100"])

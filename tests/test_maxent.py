@@ -195,12 +195,29 @@ class TestSolveMaxent:
 
     def test_no_gain_at_any_halving_is_not_converged(self, monkeypatch):
         # a dual one below its true value off lambda = 0: no step along any direction gains
-        true_log_sum_exp = femin.maxent.log_sum_exp
-        monkeypatch.setattr(femin.maxent, "log_sum_exp", lambda v: true_log_sum_exp(v) + float(np.any(v != 0.0)))
+        true_gibbs = femin.maxent.gibbs
+
+        def gibbs_with_raised_log_z(v):
+            q, log_z = true_gibbs(v)
+            return q, log_z + float(np.any(v != 0.0))
+
+        monkeypatch.setattr(femin.maxent, "gibbs", gibbs_with_raised_log_z)
         with pytest.raises(NotConverged, match="no halving of the Newton step raises the dual") as err:
             solve_maxent([MomentConstraint([0.0, 1.0, 2.0], 0.5)], 3)
         assert err.value.iterations == 0
         assert err.value.residual == pytest.approx(0.5)
+
+    def test_feature_with_a_large_offset_keeps_its_spread(self):
+        # in f's own coordinates the spread 1e-3 is lost against the offset 1e6
+        result = solve_maxent([MomentConstraint([1e6, 1e6 + 1e-3, 1e6], 1e6 + 1e-4)], 3)
+        assert result.iterations <= 5 and result.residual <= 1e-8
+        assert abs(result.q.probs @ [0.0, 1e-3, 0.0] - 1e-4) <= 1e-8
+
+    def test_features_whose_squares_are_zero_give_uniform(self):
+        for constraints in ([MomentConstraint([0.0, 0.0, 0.0], 0.0)], [MomentConstraint([0.0, 5e-324, 0.0], 0.0)]):
+            result = solve_maxent(constraints, 3)
+            assert result.iterations == 0 and np.array_equal(result.q.probs, np.full(3, 1 / 3))
+            assert check_feasibility(constraints).feasible
 
     def test_not_converged_reports_diagnostics(self):
         with pytest.raises(NotConverged) as err:
@@ -400,6 +417,22 @@ def dependent_features(rng, n, m, n_dependent):
     return features
 
 
+def seeded_problem(seed, push=True):
+    """(features, targets): 2-4 scaled features with dependent rows on 3-8
+    symbols, and an interior mixture of them as targets, pushed off by noise
+    for half the seeds when push is set."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    m = min(int(rng.integers(2, 5)), n - 1)
+    n_dependent = min(int(rng.integers(0, 4)), m - 1)
+    pushed = bool(rng.integers(2)) and push
+    features = dependent_features(rng, n, m, n_dependent) * 10.0 ** int(rng.integers(-3, 4))
+    targets = features @ (rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+    if pushed:
+        targets += rng.normal(scale=0.5, size=m)
+    return features, targets
+
+
 # The examples are seeds whose last Newton decrement lies between one and two
 # roundings of the dual, where halving cannot show the gain.
 @settings(max_examples=300, deadline=None)
@@ -412,24 +445,31 @@ def test_solution_or_certificate(seed):
     """On scaled features with dependent rows and targets inside or pushed off
     the hull: q > 0 meeting every moment within tol along a nondecreasing dual,
     or Infeasible with a certificate that passes the module docstring's test."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 9))
-    m = min(int(rng.integers(2, 5)), n - 1)
-    n_dependent = min(int(rng.integers(0, 4)), m - 1)
-    pushed = bool(rng.integers(2))
-    features = dependent_features(rng, n, m, n_dependent) * 10.0 ** int(rng.integers(-3, 4))
-    targets = features @ (rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
-    if pushed:
-        targets += rng.normal(scale=0.5, size=m)
+    features, targets = seeded_problem(seed)
     constraints = [MomentConstraint(f, t) for f, t in zip(features, targets)]
     try:
-        result = solve_maxent(constraints, n)
+        result = solve_maxent(constraints, features.shape[1])
     except Infeasible as err:
         assert_certificate(err.report, features, targets)
         return
     assert np.all(result.q.probs > 0.0)
     assert np.abs(features @ result.q.probs - targets).max() <= 1e-8
     assert np.all(np.diff(result.dual_trace) >= -1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.sampled_from([-1.0, 1.0]))
+@example(360, 2, -1.0)
+@example(398, 2, -1.0)
+def test_common_offset_leaves_the_solution(seed, j, sign):
+    """Adding c = +-10^j max|f| to every feature and its target leaves the
+    feasible problem, and its q, as it was: the dual only sees f - alpha."""
+    features, targets = seeded_problem(seed, push=False)
+    c = sign * 10.0**j * np.abs(features).max()
+    n = features.shape[1]
+    plain = solve_maxent([MomentConstraint(f, t) for f, t in zip(features, targets)], n)
+    offset = solve_maxent([MomentConstraint(f, t) for f, t in zip(features + c, targets + c)], n)
+    assert np.abs(offset.q.probs - plain.q.probs).max() <= 1e-9
 
 
 def test_maxent_runs_without_scipy(tmp_path):

@@ -1,6 +1,7 @@
 """Print a sha256 of every stdout femin produces on the benchmark's CLI
 inputs, of every demo's stdout and of seeded `femin em` runs, one
-`<name> <exit code> <sha256>` line each.
+`<name> <exit code> <sha256>` line each, after a `#` line naming the
+Python, numpy, SIMD targets and BLAS they were made with.
 
 The CLI part runs the 10 `cli_session` invocations (bench/workloads.py) on
 the inputs of seeds 0-2, jobs 0-5: 180 outputs, in-process through
@@ -15,13 +16,15 @@ inputs: one whose Newton steps gain less than an ulp of the dual near tol,
 a jointly infeasible pair on a triangle, a target on that triangle's edge
 and, at `--tol 1e-12`, the dependent features f and 2f, whose covariance is
 singular at every q; and two one-constraint inputs whose feature is within
-tol of its target at every symbol but not equal to it; its lines hash
-stderr too, after stdout. The limit
+tol of its target at every symbol but not equal to it, and one whose
+feature and target share the offset 1e6; its lines hash stderr too, after
+stdout. The limit
 part runs three step sizes or inverse temperatures near the largest double: a
 multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
-`pacbayes` at beta = 1e308 with losses in [2, 3], and `posterior` on
-log-weights of +-1e308; its lines hash stdout and stderr. The input part
-runs nineteen inputs that the CLI must reject with exit 2 or 3 and a JSON
+`pacbayes` at beta = 1e308 with losses in [2, 3], `posterior` on
+log-weights of +-1e308, and `pacbayes` on losses in [0, 1.3e154], where
+(b - a)^2 times the KL term overflows; its lines hash stdout and stderr.
+The input part runs twenty inputs that the CLI must reject with exit 2 or 3 and a JSON
 error (empty `--l`, `--target` and `--x0`, `klest --lr inf` and
 `--alphabet-size 0`, `maxent --alphabet-size` off the features' size,
 `figure1 --x-max=inf`, a `figure1` range whose end prior weights
@@ -31,7 +34,7 @@ b = 1e308, an `em` init mean of 1e308, a `figure1 --loss` table spanning
 more than the largest double, a string target and mismatched features and
 targets in a `maxent` constraints file, `true` in a `klest` features file,
 `null` in a `figure1` loss table and a `1.0` line in categorical `em`
-data), then two Gaussian `em` inputs that pass the start check but
+data, `solve` losses nested 5000 lists deep), then two Gaussian `em` inputs that pass the start check but
 overflow later: 1000 observations at 1e306, whose M-step sum overflows,
 and data [0, 0, 0, 1e152], whose floored variances overflow an E-step
 square; its lines hash stdout and stderr together,
@@ -49,6 +52,12 @@ results to see which outputs moved:
 
     python tools/cli_bytes.py > after.txt
 
+tools/cli_bytes.txt holds the output of the committed code, and
+tests/test_fingerprints.py compares a fresh run with it. A change that moves
+outputs on purpose rewrites it in the same commit:
+
+    python tools/cli_bytes.py > tools/cli_bytes.txt
+
 bench/ is only imported. Input files are written to a temporary directory
 under relative names, because `solve` echoes its input paths to stdout.
 """
@@ -59,6 +68,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -180,6 +190,7 @@ MAXENT_CASES = (
     ("dependent-tol-1e-12", [[0, 1, 2, 3], [0, 2, 4, 6]], [1.2, 2.4], ["--tol", "1e-12"]),
     ("near-constant-0.3", [[0.1 + 0.2] * 3], [0.3], []),
     ("near-constant-1e-10", [[1.0, 1.0 + 1e-10, 1.0]], [1.0 + 1e-10], []),
+    ("offset-1e6", [[1e6, 1e6 + 1e-3, 1e6]], [1e6 + 1e-4], []),
 )
 
 
@@ -197,6 +208,13 @@ PACBAYES_HIGH_LOSS = {
     "prior": [0.5, 0.3, 0.2],
     "data_model": [0.2, 0.5, 0.3],
 }
+PACBAYES_WIDE_LOSS = {
+    "loss_table": [[0.0, 1.3e154], [1.3e154, 0.0]],
+    "a": 0.0,
+    "b": 1.3e154,
+    "prior": [0.5, 0.5],
+    "data_model": [0.5, 0.5],
+}
 MIRROR = ["mirror", "--oracle", "linear"]
 LIMIT_CASES = (
     ("mirror-neg-1e300", {}, [*MIRROR, "--l=1,2,1", "--x0", "0.2,0.3,0.5", "--method", "neg", "--alpha", "1e300"]),
@@ -208,6 +226,11 @@ LIMIT_CASES = (
         ["pacbayes", "--problem", "problem.json", "--beta", "1e308", "--m", "10", "--delta", "0.05", "--trials", "100"],
     ),
     ("posterior-1e308", {"model.json": json.dumps({"log_tilde_p": [1e308, -1e308]})}, ["posterior", "--model", "model.json"]),
+    (
+        "pacbayes-width-1.3e154",
+        {"problem.json": json.dumps(PACBAYES_WIDE_LOSS)},
+        ["pacbayes", "--problem", "problem.json", "--beta", "1", "--m", "1", "--delta", "0.05", "--trials", "100"],
+    ),
 )
 
 
@@ -300,6 +323,11 @@ INPUT_CASES = (
         {"model.json": json.dumps(em_gaussian_model([0.0, 1e152])), "data.csv": "0\n0\n0\n1e+152\n"},
         ["em", "--model", "model.json", "--data", "data.csv"],
     ),
+    (
+        "solve-losses-nested-5000",
+        {"problem.json": '{"losses": ' + "[" * 5000 + "]" * 5000 + ', "temperature": 1, "penalty": {"kind": "neg_entropy"}}'},
+        ["solve", "--problem", "problem.json"],
+    ),
 )
 
 
@@ -380,7 +408,24 @@ def demo_lines():
         yield f"demo {path.name} {run.returncode} {digest(run.stdout)}"
 
 
+def platform_line() -> str:
+    """The Python, numpy (with the SIMD targets it dispatches to on this CPU)
+    and BLAS that the hashes depend on, as a `#` line."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    simd = " ".join(k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k)) or "baseline"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict form
+        blas = "unknown"
+    return f"# python {platform.python_version()}, numpy {np.__version__} (simd {simd}), blas {blas}, {platform.machine()}"
+
+
 def main() -> int:
+    print(platform_line())
     parts = (cli_lines, demo_lines, em_lines, maxent_lines, limit_lines, input_lines, pacbayes_lines, large_lines)
     for part in parts:
         for line in part():
