@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import figure1 as fig
-from .errors import FeminError
+from .errors import DegenerateComponentWarning, FeminError, FlooringWarning
 from .free_energy import ComplexityPenalty, FreeEnergyProblem, fenchel_young_gap, minimize_closed_form
 from .gen_bayes import UnnormalizedModel, elbo, log_partition, posterior
 from .kl_estimate import LinearFeaturesFunction, SamplePair, TabularFunction, fit_dv
@@ -436,7 +436,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         _report_error(exc, 2)
         return 2
-    except (FeminError, ValueError, MemoryError, OverflowError) as exc:  # too large to allocate or convert
+    # MemoryError, OverflowError: too large to allocate or convert; a femin warning under -W error
+    except (FeminError, ValueError, MemoryError, OverflowError, DegenerateComponentWarning, FlooringWarning) as exc:
         _report_error(exc, 3)
         return 3
     return 0

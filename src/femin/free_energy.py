@@ -21,6 +21,7 @@ alone. A simplex-grid enumerator provides an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -42,6 +43,7 @@ NEG_ENTROPY = "neg_entropy"
 KL_TO_PRIOR = "kl"
 HALF_SQ_L2 = "half_sq_l2"
 PENALTY_KINDS = (NEG_ENTROPY, KL_TO_PRIOR, HALF_SQ_L2)
+GRID_POINT_LIMIT = 5_000_000  # most points brute_force_minimize builds; 5 symbols at step 0.01 have 4,598,126
 
 
 @dataclass(frozen=True)
@@ -253,18 +255,19 @@ def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Soluti
     coordinates are multiples of grid_step and returns the best, breaking
     exact ties toward the lexicographically smallest point. The grid has
     C(1/grid_step + n - 1, n - 1) points on n symbols; it is built once per
-    (grid_step, n) and cached. Only meant as an oracle; alphabets above 5
-    symbols are rejected.
+    (grid_step, n) and cached. Only meant as an oracle; a grid of more than
+    GRID_POINT_LIMIT points is rejected before anything is built.
     """
     n_x = problem.alphabet_size
-    if n_x > 5:
-        raise AlphabetTooLarge(f"grid enumeration supports at most 5 symbols, got {n_x}")
     step = float(grid_step)
     if not (0.0 < step <= 0.01):
         raise ValueError(f"grid_step must lie in (0, 0.01], got {step!r}")
     total = round(1.0 / step)
     if abs(total * step - 1.0) > 1e-9:
         raise ValueError(f"1/grid_step must be an integer, got grid_step={step!r}")
+    points = math.comb(total + n_x - 1, n_x - 1)
+    if points > GRID_POINT_LIMIT:
+        raise AlphabetTooLarge(f"grid of step {step!r} on {n_x} symbols has {points} > {GRID_POINT_LIMIT} points")
     grid = _grid_points(total, n_x)
     j_values = grid @ problem.loss.losses + problem.temperature * _penalty_values_on_grid(
         problem.penalty, grid

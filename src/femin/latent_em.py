@@ -9,6 +9,7 @@ classic likelihood singularity of Gaussian mixtures). The loop keeps one
 C-contiguous K x n table (components by observations) per step: gibbs over
 axis 0 gives the responsibilities and each observation's log-likelihood,
 and the M-step sums rows pairwise. e_step and m_step transpose to n x K.
+At the start as in the loop, an overflowing square is a zero density.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ VARIANCE_FLOOR = 1e-6
 DEGENERATE_MASS = 1e-12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# Entered once per call: log 0 = -inf, an overflowing (y - mean)^2 / (2 variance) is a
-# zero density (as in the tilt), and _m_step raises on an overflowing sum.
-_quiet = np.errstate(divide="ignore", over="ignore")
+# Entered once per call: log 0 = -inf, an overflowing square is a zero density or, times a
+# zero responsibility, a NaN that _m_step drops, and _m_step raises on an overflowing sum.
+_quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -89,20 +90,8 @@ class MixtureModel:
 
 
 def _check_data(model: MixtureModel, data) -> np.ndarray:
-    """The observations as _observations gives them. Gaussian data must keep
-    2 variance, (y - mean)^2 / (2 variance) at each component's farthest
-    observation, as _log_joint computes them, and (max y - min y)^2 finite;
-    the last bounds the M-step's squared spread, whose means lie in that range."""
-    if model.kind == CATEGORICAL:
-        return _observations(CATEGORICAL, data, model.n_symbols)
-    y = _observations(GAUSSIAN1D, data)
-    lo, hi = y.min(), y.max()
-    with np.errstate(over="ignore"):
-        twice = 2.0 * model.variances
-        squares = (twice, np.maximum(hi - model.means, model.means - lo) ** 2 / twice, (hi - lo) ** 2)
-    if not all(np.isfinite(sq).all() for sq in squares):
-        raise ValueError("model and observations too large: (y - mean)^2 / (2 variance) or (max y - min y)^2 overflows")
-    return y
+    """_observations of the model's family; an overflowing square is _log_joint's to handle."""
+    return _observations(model.kind, data, None if model.emissions is None else model.emissions.shape[1])
 
 
 def _observations(kind: str, data, n_symbols=None) -> np.ndarray:
@@ -129,8 +118,10 @@ def _log_joint(weights: np.ndarray, theta, y: np.ndarray) -> np.ndarray:
     if emissions is not None:
         log_dens = np.log(emissions).take(y, axis=1)  # C-contiguous, unlike emissions[:, y]
     else:
-        diff = y[None, :] - means[:, None]
-        log_dens = -0.5 * (_LOG_2PI + np.log(variances)[:, None]) - diff**2 / (2.0 * variances[:, None])
+        sq, twice = np.square(y[None, :] - means[:, None]), 2.0 * variances[:, None]
+        # where 2 variance overflows, halve the quotient: an overflowing square is inf, not inf/inf
+        quad = sq / twice if np.isfinite(twice).all() else 0.5 * (sq / variances[:, None])
+        log_dens = -0.5 * (_LOG_2PI + np.log(variances)[:, None]) - quad
     return log_w[:, None] + log_dens
 
 
@@ -193,12 +184,9 @@ def _m_step(theta, stats: np.ndarray, r: np.ndarray):
     mass = r.sum(axis=1)
     degenerate = mass < DEGENERATE_MASS
     if degenerate.any():
-        warnings.warn(
-            f"components {np.nonzero(degenerate)[0].tolist()} received no responsibility mass; "
-            "keeping their previous parameters",
-            DegenerateComponentWarning,
-            stacklevel=4,  # past m_step or em_fit and its _quiet wrapper, to their caller
-        )
+        message = f"components {np.nonzero(degenerate)[0].tolist()} received no responsibility mass"
+        # stacklevel: past m_step or em_fit and its _quiet wrapper, to their caller
+        warnings.warn(f"{message}; keeping their previous parameters", DegenerateComponentWarning, stacklevel=4)
     weights = np.maximum(mass, DEGENERATE_MASS)
     weights = weights / weights.sum()
     safe_mass = np.where(degenerate, 1.0, mass)
@@ -213,7 +201,9 @@ def _m_step(theta, stats: np.ndarray, r: np.ndarray):
     _check_sum(new_means, "y")
     np.square(np.subtract(stats, new_means[:, None], out=work), out=work)
     sq = np.multiply(work, r, out=work).sum(axis=1) / safe_mass
-    _check_sum(sq, "(y - mean)^2")
+    if not np.isfinite(sq).all():  # a zero responsibility times an overflowing square adds nothing
+        sq = np.where(r > 0, work, 0.0).sum(axis=1) / safe_mass
+        _check_sum(sq, "(y - mean)^2")
     new_variances = np.where(degenerate, variances, np.maximum(sq, VARIANCE_FLOOR))
     return weights, (None, np.where(degenerate, means, new_means), new_variances)
 

@@ -419,7 +419,23 @@ OVERFLOW_FILES = {
     "huge.json": replaced(JSON_INPUTS["init"], ("emissions", "means"), [1e306, 1e306]),
     "huge.csv": "1e306\n" * 1000,
 }
-EM_OVERFLOWS = [("mean.json", "data.csv"), ("neg_mean.json", "data.csv"), ("var.json", "data.csv"), ("init.json", "far.csv")]
+# (model, data, text of the JSON error): an overflowing square is a zero density, so the
+# first three fit with a degenerate component (an error under -W error) and the last fails
+EM_OVERFLOWS = [
+    ("mean.json", "data.csv", "DegenerateComponentWarning: components [0] received no responsibility mass"),
+    ("neg_mean.json", "data.csv", "DegenerateComponentWarning: components [0] received no responsibility mass"),
+    ("var.json", "data.csv", "DegenerateComponentWarning: components [0] received no responsibility mass"),
+    ("init.json", "far.csv", "ValueError: observation 0 has zero probability under every component"),
+]
+
+
+# (means, variances, data, marginal log-likelihood at the start, em_fit's degenerate components)
+EM_SQUARES = [
+    ([1e308, 1.0], [1.0, 1.0], [0.0, 1.0, 2.0], -5.836257141293855, [0]),
+    ([-1.0, 1.0], [1.0, 1e308], [0.0, 1.0, 2.0], -11.836257141293853, [1]),
+    ([-1.0, 1.0], [1e-6, 1.0], [0.0, 1e152], -5.0000000000000003e303, [0]),  # (y - mean)^2 is finite, over 2e-6 not
+    ([0.0, 0.0], [1.0, 1.0], [-1e154, 1e154], -1e308, []),  # the fit's 2 variance overflows
+]
 
 
 @pytest.fixture
@@ -519,14 +535,14 @@ class TestCliDefectInputs:
             (["maxent", "--constraints", "constraints.json"], "features too large"),
             (["posterior", "--model", "model.json"], '"log_partition":1e+308,"posterior":[1.0,0.0]'),
             (["figure1", "--loss", "loss.json", "--n-points", "11"], "span 1e+308 - -1e+308 exceeds the largest double"),
-            *((["em", "--model", model, "--data", data], "model and observations too large") for model, data in EM_OVERFLOWS),
+            *((["em", "--model", model, "--data", data], text) for model, data, text in EM_OVERFLOWS),
             (["em", "--model", "huge.json", "--data", "huge.csv"], "the M-step's weighted sum of y overflows"),
         ],
         ids=["mirror", "figure1", "maxent", "posterior", "figure1-loss", "em-mean", "em-neg-mean", "em-var", "em-far", "em-sum"],
     )
     def test_overflowing_inputs_under_w_error(self, overflow_files, argv, text):
         """Exit 3 with the JSON error, or for the posterior exit 0, with `text`
-        in the message or on stdout, and no warning."""
+        in `<error>: <message>` or on stdout, and no numpy warning."""
         argv = [overflow_files.get(token, token) for token in argv]
         run = subprocess.run([sys.executable, "-W", "error", "-m", "femin", *argv], capture_output=True, text=True)
         if argv[0] == "posterior":
@@ -534,7 +550,26 @@ class TestCliDefectInputs:
         else:
             assert run.returncode == 3 and run.stdout == "", run.stderr
             error = json.loads(run.stderr)
-            assert error["exit_code"] == 3 and text in error["message"], error
+            assert error["exit_code"] == 3 and text in f"{error['error']}: {error['message']}", error
+
+    @pytest.mark.parametrize(
+        ("argv", "error"),
+        [
+            (["em", "--model", "big.json", "--data", "small.csv"], "DegenerateComponentWarning"),
+            (["mirror", "--l=0,2000", "--alpha", "1", "--iters", "50"], "FlooringWarning"),
+        ],
+        ids=["em", "mirror"],
+    )
+    def test_femin_warnings(self, tmp_path, argv, error):
+        """A femin warning is printed and the run exits 0; under -W error it is the JSON error, exit 3."""
+        init = replaced(JSON_INPUTS["init"], ("emissions", "means"), [1e100, 0.0])
+        files = write_files(tmp_path, {"big.json": init, "small.csv": "-1\n0.5\n1\n"})
+        argv = [files.get(token, token) for token in argv]
+        run = subprocess.run([sys.executable, "-m", "femin", *argv], capture_output=True, text=True)
+        assert run.returncode == 0 and f"{error}: " in run.stderr, run.stderr
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "femin", *argv], capture_output=True, text=True)
+        assert run.returncode == 3 and run.stdout == "", run.stderr
+        assert json.loads(run.stderr)["error"] == error, run.stderr
 
     def test_overflowing_inputs_at_the_api(self):
         with pytest.raises(ValueError, match="target too large"):
@@ -548,22 +583,58 @@ class TestCliDefectInputs:
         with pytest.raises(ValueError, match="exceeds the largest double"):
             figure1_table(-1.0, 1.0, 11, [1.0], loss=OVERFLOW_FILES["loss.json"])
 
-    @pytest.mark.parametrize(
-        ("means", "variances", "data"),
-        [
-            ([1e308, 1.0], [1.0, 1.0], [0.0, 1.0, 2.0]),
-            ([-1.0, 1.0], [1.0, 1e308], [0.0, 1.0, 2.0]),
-            ([-1.0, 1.0], [1e-6, 1.0], [0.0, 1e152]),  # (y - mean)^2 is finite, over 2e-6 it is not
-            ([0.0, 0.0], [1.0, 1.0], [-1e154, 1e154]),  # only the squared range overflows
-        ],
-    )
+    @pytest.mark.parametrize(("means", "variances", "data"), [case[:3] for case in EM_SQUARES])
     def test_em_squares_that_overflow_at_the_api(self, means, variances, data):
+        """An overflowing square is a zero density at the start as in the loop: each
+        entry succeeds, and e_step and marginal_log_likelihood accept em_fit's fit."""
+        log_lik, degenerate = next(case[3:] for case in EM_SQUARES if case[:3] == (means, variances, data))
         model = fm.MixtureModel.gaussian1d(fm.FiniteDistribution.uniform(2), means, variances)
-        resp = np.full((len(data), 2), 0.5)
-        calls = (fm.em_fit, fm.e_step, fm.marginal_log_likelihood, lambda m, y: fm.m_step(m, y, resp))
-        for call in calls:
-            with pytest.raises(ValueError, match="model and observations too large"):
+        assert np.allclose(fm.e_step(model, data).sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert fm.marginal_log_likelihood(model, data) == log_lik
+        assert fm.m_step(model, data, np.full((len(data), 2), 0.5)).n_components == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fitted, trace = fm.em_fit(model, data)
+        assert {(w.category, str(w.message)) for w in caught} == (
+            {(fm.DegenerateComponentWarning, f"components {degenerate} received no responsibility mass; keeping their previous parameters")}
+            if degenerate
+            else set()
+        )
+        assert fm.e_step(fitted, data).shape == (len(data), 2)
+        assert fm.marginal_log_likelihood(fitted, data) == trace[-1]
+
+    def test_em_fit_is_accepted_by_its_own_checks(self):
+        # the floored variances make (1e152)^2 / 2e-6 overflow at the other mean: a zero density, as in the loop
+        model = fm.MixtureModel.gaussian1d(fm.FiniteDistribution.uniform(2), [0.0, 1e152], [1.0, 1.0])
+        data = [0.0, 0.0, 0.0, 1e152]
+        fitted, trace = fm.em_fit(model, data)
+        assert fm.e_step(fitted, data).tolist() == [[1.0, 0.0]] * 3 + [[0.0, 1.0]]
+        assert fm.marginal_log_likelihood(fitted, data) == trace[-1]
+
+    def test_em_variance_whose_double_overflows(self):
+        # 2 variance and (y - mean)^2 both overflow: a zero density, not inf/inf
+        model = fm.MixtureModel.gaussian1d(fm.FiniteDistribution.uniform(2), [-1.0, 1.0], [1e308, 1.0])
+        data = [-1e160, 1e160]
+        for call in (fm.em_fit, fm.e_step):
+            with pytest.raises(ValueError, match="observation 0 has zero probability under every component"):
                 call(model, data)
+        assert fm.marginal_log_likelihood(model, data) == -np.inf
+        with pytest.raises(ValueError, match=r"the M-step's weighted sum of \(y - mean\)\^2 overflows"):
+            fm.m_step(model, data, np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize(
+        ("means", "data", "degenerate"),
+        [([-1e155, 1e155], [-1e155, 1e155], False), ([1e155, 9e154], [1e155] * 3, True)],
+        ids=["both-apart", "one-degenerate"],
+    )
+    def test_em_zero_responsibility_times_an_overflowing_square(self, means, data, degenerate):
+        # the M-step's (y - mean)^2 overflows where the responsibility is 0: it adds nothing
+        model = fm.MixtureModel.gaussian1d(fm.FiniteDistribution.uniform(2), means, [1.0, 1.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fitted, _ = fm.em_fit(model, data)
+        assert {w.category for w in caught} == ({fm.DegenerateComponentWarning} if degenerate else set())
+        assert fitted.means.tolist() == means and fitted.variances[0] == 1e-6
 
     @pytest.mark.parametrize(
         ("means", "data", "what"),
@@ -696,9 +767,6 @@ class TestCounts:
         with pytest.raises(ValueError, match="alphabet_size must be an integer, got 3.5"):
             fm.TabularFunction.zeros(3.5)
 
-    def test_validate_gradient_points(self):
-        with pytest.raises(ValueError, match="n_points must be an integer, got 1.5"):
-            fm.validate_gradient(fm.make_oracle("linear", [0.0, 1.0]), n_points=1.5)
 
 
 class TestFigure1Range:

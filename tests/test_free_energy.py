@@ -25,6 +25,7 @@ from femin import (
     total_variation,
 )
 from femin.free_energy import (
+    GRID_POINT_LIMIT,
     HALF_SQ_L2,
     KL_TO_PRIOR,
     NEG_ENTROPY,
@@ -404,6 +405,16 @@ class TestBruteForceOracle:
     def test_alphabet_cap(self):
         with pytest.raises(AlphabetTooLarge):
             brute_force_minimize(neg_entropy_problem([0.0] * 6), 1e-2)
+
+    @pytest.mark.parametrize(("n", "step", "points"), [(4, 1e-3, 167668501), (5, 1e-5, 4167083347916875001)])
+    def test_grid_point_limit(self, n, step, points):
+        # refused from the point count alone, before any row is built
+        with pytest.raises(AlphabetTooLarge, match=f"on {n} symbols has {points} > {GRID_POINT_LIMIT} points"):
+            brute_force_minimize(neg_entropy_problem([0.0] * n), step)
+
+    def test_grid_point_limit_admits_the_grids_in_use(self):
+        # 5 symbols at step 0.01, the largest grid of the earlier rule of at most 5 symbols, and 3 at 1e-3
+        assert math.comb(104, 4) == 4598126 <= GRID_POINT_LIMIT and math.comb(1002, 2) <= GRID_POINT_LIMIT
 
     def test_grid_step_validation(self):
         problem = neg_entropy_problem([0.0, 1.0])

@@ -85,11 +85,35 @@ class TestProjection:
         assert np.allclose(q.probs, [1.0, 0.0], atol=1e-12)
 
     def test_matches_clip_and_normalize_bitwise(self):
+        # the projection ignores a common shift, and project_to_simplex projects v - max v
         rng = np.random.default_rng(47)
         for _ in range(200):
             v = rng.normal(scale=float(rng.uniform(0.1, 5.0)), size=int(rng.integers(1, 12)))
-            ref = FiniteDistribution.normalized(np.clip(v - _projection_pivot(v), 0.0, None))
+            shifted = v - v.max()
+            ref = FiniteDistribution.normalized(np.clip(shifted - _projection_pivot(shifted), 0.0, None))
             assert np.array_equal(project_to_simplex(v).probs, ref.probs)
+
+    def test_shift_moves_only_last_digits(self):
+        assert project_to_simplex([0.2, 0.8]).probs.tolist() == [0.19999999999999996, 0.8]
+
+    @pytest.mark.parametrize(("v", "probs"), [([1e300, 1e300], [0.5, 0.5]), ([1e308, -1e308], [1.0, 0.0])])
+    def test_huge_magnitudes(self, v, probs):
+        # under filterwarnings = error a numpy warning fails the test
+        assert project_to_simplex(v).probs.tolist() == probs
+
+    @pytest.mark.parametrize(
+        ("v", "message"),
+        [
+            ([np.nan, 1.0], "v must be finite"),
+            ([np.inf, 1.0], "v must be finite"),
+            ([], "v must have at least one entry"),
+            ([[1.0, 2.0]], r"v must be one-dimensional, got shape \(1, 2\)"),
+        ],
+        ids=["nan", "inf", "empty", "table"],
+    )
+    def test_rejects_non_finite_or_malformed_input(self, v, message):
+        with pytest.raises(ValueError, match=message):
+            project_to_simplex(v)
 
 
 class TestOracles:
@@ -104,6 +128,27 @@ class TestOracles:
 
         with pytest.raises(ValueError):
             validate_gradient(ObjectiveOracle(3, evaluate, "broken"))
+
+    def test_entropy_regularized_at_the_simplex_edge(self):
+        # 0 log 0 = 0 in the value, log 0 = -inf in the gradient, and no numpy warning
+        value, grad = make_oracle("entropy-regularized-linear", [0.0, 5.0], 0.1).evaluate(np.array([1.0, 0.0]))
+        assert value == 0.0 and grad[0] == 0.1 and grad[1] == -np.inf
+        value, grad = make_oracle("entropy-regularized-linear", [0.0, 5.0], 0.0).evaluate(np.array([1.0, 0.0]))
+        assert value == 0.0 and grad[0] == 0.0 and np.isnan(grad[1])
+
+    def test_entropy_regularized_interior_bits(self):
+        l, reg = np.array([0.3, -1.2, 2.0]), 0.25
+        x = np.array([0.2, 0.5, 0.3])
+        value, grad = make_oracle("entropy-regularized-linear", l, reg).evaluate(x)
+        assert value == float(l @ x + reg * (x * np.log(x)).sum())
+        assert np.array_equal(grad, l + reg * (1.0 + np.log(x)))
+
+    @pytest.mark.parametrize("x0", [None, FiniteDistribution([1.0, 0.0])])
+    def test_entropy_regularized_euclidean_step_to_the_edge_is_non_finite(self, x0):
+        oracle = make_oracle("entropy-regularized-linear", [0.0, 5.0])
+        x0 = FiniteDistribution.uniform(2) if x0 is None else x0
+        with pytest.raises(NonFinite):
+            run_descent(oracle, x0, "euclidean", 0.1, max_iter=200)
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):

@@ -24,21 +24,24 @@ multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
 `pacbayes` at beta = 1e308 with losses in [2, 3], `posterior` on
 log-weights of +-1e308, and `pacbayes` on losses in [0, 1.3e154], where
 (b - a)^2 times the KL term overflows; its lines hash stdout and stderr.
-The input part runs twenty inputs that the CLI must reject with exit 2 or 3 and a JSON
+The input part runs nineteen inputs that the CLI must reject with exit 2 or 3 and a JSON
 error (empty `--l`, `--target` and `--x0`, `klest --lr inf` and
 `--alphabet-size 0`, `maxent --alphabet-size` off the features' size,
 `figure1 --x-max=inf`, a `figure1` range whose end prior weights
 round to zero, a list as `solve`'s penalty, `maxent --tol nan`,
 `solve --seed 1`, a flag that `solve` does not declare, `pacbayes` with
-b = 1e308, an `em` init mean of 1e308, a `figure1 --loss` table spanning
+b = 1e308, a `figure1 --loss` table spanning
 more than the largest double, a string target and mismatched features and
 targets in a `maxent` constraints file, `true` in a `klest` features file,
 `null` in a `figure1` loss table and a `1.0` line in categorical `em`
-data, `solve` losses nested 5000 lists deep), then two Gaussian `em` inputs that pass the start check but
-overflow later: 1000 observations at 1e306, whose M-step sum overflows,
-and data [0, 0, 0, 1e152], whose floored variances overflow an E-step
-square; its lines hash stdout and stderr together,
-so a changed error message shows. The pacbayes part runs
+data, `solve` losses nested 5000 lists deep). It also runs four Gaussian
+`em` inputs at the edge of the doubles: an init mean and an init variance
+of 1e308, whose component has (nearly) zero density and ends degenerate;
+1000 observations at 1e306, whose M-step sum overflows; and data
+[0, 0, 0, 1e152], whose floored variances overflow an E-step square. The
+last input is the entropy-regularized `mirror` oracle, whose Euclidean
+step reaches a zero coordinate and an infinite gradient. Its lines hash
+stdout and stderr together, so a changed error message or warning shows. The pacbayes part runs
 the coverage experiment on seeded tables of 8, 9 and 33 hypotheses (numpy
 sums rows of 8 or more entries pairwise), at the default `--trials 2000`,
 and with a zero entry in `data_model`; its lines hash stdout and stderr.
@@ -323,6 +326,15 @@ INPUT_CASES = (
         {"model.json": json.dumps(em_gaussian_model([0.0, 1e152])), "data.csv": "0\n0\n0\n1e+152\n"},
         ["em", "--model", "model.json", "--data", "data.csv"],
     ),
+    (
+        "em-var-1e308",
+        {
+            "model.json": json.dumps({"weights": [0.5, 0.5], "family": "gaussian1d", "emissions": {"means": [-1.0, 1.0], "vars": [1e308, 1.0]}}),
+            "data.csv": "-2.5\n-1.5\n2.0\n1.0\n",
+        },
+        ["em", "--model", "model.json", "--data", "data.csv"],
+    ),
+    ("mirror-entropy-edge", {}, ["mirror", "--oracle", "entropy-regularized-linear", "--l=0,5", "--method", "euclidean"]),
     (
         "solve-losses-nested-5000",
         {"problem.json": '{"losses": ' + "[" * 5000 + "]" * 5000 + ', "temperature": 1, "penalty": {"kind": "neg_entropy"}}'},
