@@ -292,6 +292,8 @@ def cmd_pacbayes(args) -> None:
 def cmd_klest(args) -> None:
     samples = SamplePair(_load_csv_column(args.samples_p, int), _load_csv_column(args.samples_q, int))
     if args.klass == "tabular":
+        if args.features is not None:
+            raise InputError("--features is not read by --class tabular")
         size = samples.max_symbol() + 1 if args.alphabet_size is None else args.alphabet_size
         init = TabularFunction.zeros(size)
     else:
@@ -310,9 +312,11 @@ def cmd_klest(args) -> None:
 
 
 def cmd_mirror(args) -> None:
-    flag = "target" if args.oracle == "quadratic-to-target" else "l"
+    flag, unread = ("target", "l") if args.oracle == "quadratic-to-target" else ("l", "target")
     if getattr(args, flag) is None:
         raise InputError(f"--{flag} is required for the {args.oracle} oracle")
+    if getattr(args, unread) is not None:
+        raise InputError(f"--{unread} is not read by the {args.oracle} oracle")
     extra = (args.reg,) if args.oracle == "entropy-regularized-linear" else ()
     oracle = make_oracle(args.oracle, _parse_number_list(getattr(args, flag), f"--{flag}"), *extra)
     if args.x0 is not None:

@@ -262,6 +262,8 @@ def brute_force_minimize(problem: FreeEnergyProblem, grid_step: float) -> Soluti
     step = float(grid_step)
     if not (0.0 < step <= 0.01):
         raise ValueError(f"grid_step must lie in (0, 0.01], got {step!r}")
+    if not 1.0 / step < 2.0**63:  # inf at a subnormal step
+        raise ValueError(f"1/grid_step must be an integer that int64 holds, got grid_step={step!r}")
     total = round(1.0 / step)
     if abs(total * step - 1.0) > 1e-9:
         raise ValueError(f"1/grid_step must be an integer, got grid_step={step!r}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .free_energy import ComplexityPenalty, FreeEnergyProblem, minimize_closed_form
 from .simplex import FiniteDistribution, LossVector, entropy, gibbs, log_sum_exp
-from .simplex import _as_readonly_table, _as_readonly_vector, _check_count, _require_same_size
+from .simplex import _as_readonly_table, _as_readonly_vector, _check_count, _kl_sum, _require_same_size
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,20 @@ def mean_field_coordinate_ascent(log_joint: np.ndarray, sweeps: int = 20):
 
     Each sweep updates q1 proportional to exp(E_{q2}[log p~(x1, .)]) and then
     q2 symmetrically, so the evidence lower bound never decreases per sweep.
-    Returns (q1, q2, elbo_trace).
+    Returns (q1, q2, elbo_trace); the ELBO of the product is
+    q1 @ log p~ @ q2 + H(q1) + H(q2).
     """
     sweeps = _check_count(sweeps, "sweeps", 0)
     table = _as_readonly_table(log_joint, "log_joint")
-    flat_model = UnnormalizedModel(table.ravel())
-    q1 = FiniteDistribution.uniform(table.shape[0])
-    q2 = FiniteDistribution.uniform(table.shape[1])
+    q1 = np.full(table.shape[0], 1.0 / table.shape[0])
+    q2 = np.full(table.shape[1], 1.0 / table.shape[1])
 
     def product_elbo():
-        joint_q = FiniteDistribution.normalized(np.outer(q1.probs, q2.probs).ravel())
-        return elbo(flat_model, joint_q)
+        return float(q1 @ table @ q2 - _kl_sum(q1) - _kl_sum(q2))
 
     trace = [product_elbo()]
     for _ in range(sweeps):
-        q1 = FiniteDistribution._owned(gibbs(table @ q2.probs)[0])
-        q2 = FiniteDistribution._owned(gibbs(q1.probs @ table)[0])
+        q1 = gibbs(table @ q2)[0]
+        q2 = gibbs(q1 @ table)[0]
         trace.append(product_elbo())
-    return q1, q2, np.array(trace)
+    return FiniteDistribution._owned(q1), FiniteDistribution._owned(q2), np.array(trace)

@@ -209,13 +209,10 @@ def solve_maxent(constraints, alphabet_size: int, tol: float = 1e-8, max_iter: i
     exhausted or no halving of a step raises the dual."""
     n_x = _check_count(alphabet_size, "alphabet_size", 1)
     max_iter = _check_count(max_iter, "max_iter", 0)
-    m = len(constraints)
-    if m == 0:
+    if len(constraints) == 0:
         return MaxEntSolution(np.zeros(0), FiniteDistribution.uniform(n_x), 0, 0.0, np.array([-np.log(n_x)]))
     shifted, eps, fallback_step = _stack_features(constraints, tol)
     _require_same_size(shifted.shape[1], n_x, "features and alphabet")
-    if m > n_x - 1:
-        raise ValueError(f"at most {n_x - 1} constraints supported on {n_x} symbols, got {m}")
     report = _interval_report(shifted, eps)
     if not report.feasible:
         raise _infeasible(report)

@@ -86,13 +86,14 @@ def _quadratic_to_target_oracle(target) -> ObjectiveOracle:
 
 
 def _entropy_regularized_linear_oracle(l, reg=0.1) -> ObjectiveOracle:
-    # Needs strictly positive points; intended for the multiplicative method.
+    # l @ x + T sum x log x at the temperature T = reg; needs strictly positive
+    # points, intended for the multiplicative method.
     l = _as_readonly_vector(l, "l")
-    reg = float(reg)
+    reg = _positive(reg, "reg")
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0, log 0 = -inf, 0 (-inf) = NaN if reg = 0
+        with np.errstate(divide="ignore"):  # 0 log 0 = 0, log 0 = -inf
             log_x = np.log(x)
             return float(l @ x + reg * (x * np.where(x == 0.0, 0.0, log_x)).sum()), l + reg * (1.0 + log_x)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NonPositivePrior
 from .free_energy import KL_TO_PRIOR, _tilt
 from .simplex import SUPPORT_EPS, FiniteDistribution, kl_divergence, log_sum_exp
-from .simplex import _as_readonly_table, _check_count, _kl, _positive, _require_same_size, _symbol_indices
+from .simplex import _as_readonly_table, _check_count, _kl_sum, _positive, _require_same_size, _symbol_indices
 
 _MAX_WIDTH = float(np.sqrt(np.finfo(float).max))
 _BLOCK_CELLS = 1 << 16  # loss-table cells a block of trials gathers: memory is bounded for any trial count
@@ -150,7 +150,8 @@ def coverage_experiment(
     The per-trial generator is derived from (seed, trial index), so trials
     are reproducible independently of execution order. The observed
     violation rate should stay within binomial slack of delta. Trials run in
-    blocks, one Gibbs tilt each, bit for bit as per-trial gibbs_posterior calls."""
+    blocks, one Gibbs tilt each, bit for bit as per-trial gibbs_posterior
+    and kl_divergence calls."""
     trials = _check_count(trials, "trials", 100)  # fewer give no meaningful rate
     m = _check_count(m, "m", 1)
     beta = _positive(beta, "beta")
@@ -165,10 +166,7 @@ def coverage_experiment(
         u = np.stack([np.random.default_rng((seed, t)).random(m) for t in range(start, min(start + block, trials))])
         train = np.ascontiguousarray(problem.loss_table[:, cdf.searchsorted(u, side="right")].mean(axis=-1).T)
         q = _tilt(KL_TO_PRIOR, prior, train, 1.0 / beta)[0]
-        if np.all(q > SUPPORT_EPS):  # nothing for _kl to mask: its sum, row by row
-            kl = np.maximum(0.0, (q * np.log(q / prior)).sum(axis=-1))
-        else:
-            kl = np.array([_kl(row, prior) for row in q])
+        kl = np.maximum(0.0, _kl_sum(q, prior))
         for q_row, diff, bound in zip(q, test_vec - train, _bound(kl, m, delta, problem.a, problem.b).tolist()):
             gap = float(q_row @ diff)
             n_violations += gap > bound

@@ -162,10 +162,7 @@ def entropy(q: FiniteDistribution) -> float:
 
     Lies in [0, log N]; zero entries contribute nothing.
     """
-    p = q.probs
-    support = p > SUPPORT_EPS
-    ps = p[support]
-    return float(-(ps * np.log(ps)).sum())
+    return float(-_kl_sum(q.probs))
 
 
 def kl_divergence(q: FiniteDistribution, p: FiniteDistribution) -> float:
@@ -178,15 +175,15 @@ def kl_divergence(q: FiniteDistribution, p: FiniteDistribution) -> float:
     unsupported = np.nonzero((q.probs > SUPPORT_EPS) & (p.probs <= SUPPORT_EPS))[0]
     if unsupported.size:
         raise SupportViolation(f"q has mass at symbol {int(unsupported[0])} where p has none")
-    return _kl(q.probs, p.probs)
+    return max(0.0, float(_kl_sum(q.probs, p.probs)))
 
 
-def _kl(q: np.ndarray, p: np.ndarray) -> float:
-    """kl_divergence of arrays, p > SUPPORT_EPS where q is; a sum rounding below 0 is 0."""
-    qs = q > SUPPORT_EPS
-    qq = q[qs]
-    pp = p[qs]
-    return max(0.0, float((qq * np.log(qq / pp)).sum()))
+def _kl_sum(q: np.ndarray, p=1.0):
+    """sum q log(q/p) along the last axis, for a vector or every row of a table;
+    entries q <= SUPPORT_EPS add exactly 0, so p needs to be > 0 only where q is.
+    p = 1 gives -H(q). The sum may round below 0."""
+    ratio = np.divide(q, p, out=np.ones_like(q), where=q > SUPPORT_EPS)
+    return (q * np.log(ratio)).sum(axis=-1)
 
 
 def half_sq_l2(q: FiniteDistribution, p: FiniteDistribution) -> float:

@@ -149,9 +149,12 @@ def without_flag(argv, flag):
 def with_flag(argv, flag, value):
     """argv with `flag` set to `value` as one --flag=value token, replacing any
     earlier setting; the = form keeps "-1" and "-inf" values. A value of None
-    leaves the flag out, and True passes it bare."""
+    leaves the flag out, True passes it bare, and a list is the value and the
+    tokens of a flag that this value needs."""
     if value is None:
         return without_flag(argv, flag)
+    if isinstance(value, list):
+        return [*with_flag(argv, flag, value[0]), *value[1:]]
     return [*without_flag(argv, flag), flag if value is True else f"{flag}={value}"]
 
 
@@ -222,7 +225,7 @@ def flag_cases(files, other, out):
         (pacbayes, "--delta", 0.1, 0.2),
         (pacbayes, "--trials", 100, 50),
         (pacbayes, "--seed", 0, 1),
-        (linear, "--class", "tabular", "linear"),
+        (klest, "--class", "tabular", ["linear", "--features", files["features"]]),
         (klest, "--samples-p", files["samples_p"], other["samples_p"]),
         (klest, "--samples-q", files["samples_q"], other["samples_q"]),
         (linear, "--features", files["features"], other["features"]),
@@ -461,6 +464,11 @@ class TestCliDefectInputs:
         argv = ["klest", "--samples-p", inputs["samples_p"], "--samples-q", inputs["samples_q"], "--lr", "inf"]
         assert_domain_error(argv, "learning_rate must be finite and > 0, got inf")
 
+    @pytest.mark.parametrize("reg", ["0", "-1", "nan", "inf"])
+    def test_mirror_reg_is_a_temperature(self, reg):
+        argv = ["mirror", "--oracle", "entropy-regularized-linear", "--l=0,5", "--method", "euclidean", "--reg", reg]
+        assert_domain_error(argv, f"reg must be finite and > 0, got {float(reg)!r}")
+
     def test_maxent_alphabet_size_is_read_with_constraints(self, inputs):
         argv = ["maxent", "--constraints", inputs["constraints"], "--alphabet-size", "5"]
         assert_domain_error(argv, "features and alphabet have lengths 3 and 5")
@@ -668,8 +676,24 @@ class TestCliDefectInputs:
                 "features and --alphabet-size have lengths 3 and 4",
             ),
             (["mirror", "--oracle", "quadratic-to-target"], 2, "--target is required for the quadratic-to-target oracle"),
+            (["klest", "--class", "tabular", "--features", "features"], 2, "--features is not read by --class tabular"),
+            (["mirror", "--oracle", "linear", "--l=0,1", "--target=0.2,0.8"], 2, "--target is not read by the linear oracle"),
+            (
+                ["mirror", "--oracle", "quadratic-to-target", "--target=0.2,0.8", "--l=0,1"],
+                2,
+                "--l is not read by the quadratic-to-target oracle",
+            ),
         ],
-        ids=["em-missing-data", "maxent-empty", "klest-no-features", "klest-alphabet-size", "mirror-no-target"],
+        ids=[
+            "em-missing-data",
+            "maxent-empty",
+            "klest-no-features",
+            "klest-alphabet-size",
+            "mirror-no-target",
+            "klest-tabular-features",
+            "mirror-linear-target",
+            "mirror-target-l",
+        ],
     )
     def test_missing_or_mismatched_inputs(self, inputs, tmp_path, argv, code, message):
         files = {**inputs, "empty": write_files(tmp_path, {"empty.json": '{"features": [], "targets": []}'})["empty.json"]}

@@ -424,6 +424,10 @@ class TestBruteForceOracle:
             brute_force_minimize(problem, 0.0)
         with pytest.raises(ValueError, match="1/grid_step must be an integer, got grid_step=0.003"):
             brute_force_minimize(problem, 0.003)
+        # 1/step past int64 on the one-point grid of one symbol, and infinite on any alphabet
+        for case, step in ((neg_entropy_problem([0.0]), 1e-20), (problem, 5e-324)):
+            with pytest.raises(ValueError, match=f"1/grid_step must be an integer that int64 holds, got grid_step={step!r}"):
+                brute_force_minimize(case, step)
 
 
 def recursive_simplex_grid(total, parts):

@@ -139,6 +139,16 @@ class TestMeanFieldCoordinateAscent:
         assert np.allclose(q2.probs, [0.6, 0.4], atol=1e-12)
         assert trace[-1] == pytest.approx(log_partition(UnnormalizedModel(log_joint.ravel())), abs=1e-12)
 
+    def test_trace_is_the_elbo_of_the_product_joint(self):
+        rng = np.random.default_rng(73)
+        for shape in ((2, 2), (3, 5), (9, 4)):
+            log_joint = rng.normal(scale=3.0, size=shape)
+            model = UnnormalizedModel(log_joint.ravel())
+            for sweeps in range(4):
+                q1, q2, trace = mean_field_coordinate_ascent(log_joint, sweeps=sweeps)
+                joint = FiniteDistribution.normalized(np.outer(q1.probs, q2.probs).ravel())
+                assert abs(trace[-1] - elbo(model, joint)) <= 1e-12
+
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
             mean_field_coordinate_ascent(np.zeros(4))

@@ -109,10 +109,28 @@ class TestSolveMaxent:
             solve_maxent([MomentConstraint([0.0, 1.0], 1.5)], 2)
         assert err.value.report.violated == (0,)
 
-    def test_too_many_constraints_rejected(self):
+    def test_as_many_constraints_as_symbols_solve(self):
+        # f and 1 - f: dependent rows, met by the uniform q
         constraints = [MomentConstraint([0.0, 1.0], 0.5), MomentConstraint([1.0, 0.0], 0.5)]
-        with pytest.raises(ValueError):
-            solve_maxent(constraints, 2)
+        result = solve_maxent(constraints, 2)
+        assert np.allclose(result.q.probs, [0.5, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_m_of_n_or_more_constraints(self, extra):
+        """m = n + extra random features have an affine hull of dimension at
+        most n - 1 in R^m: a mixture of the f(x) solves, a target pushed off
+        it is Infeasible with a certificate."""
+        rng = np.random.default_rng(24 + extra)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            features = rng.normal(size=(n + extra, n))
+            targets = features @ (rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+            result = solve_maxent([MomentConstraint(f, t) for f, t in zip(features, targets)], n)
+            assert np.abs(features @ result.q.probs - targets).max() <= 1e-8
+            pushed = targets + rng.normal(scale=0.5, size=n + extra)
+            with pytest.raises(Infeasible) as err:
+                solve_maxent([MomentConstraint(f, t) for f, t in zip(features, pushed)], n)
+            assert_certificate(err.value.report, features, pushed)
 
     def test_moment_matching_random_problems(self):
         rng = np.random.default_rng(41)

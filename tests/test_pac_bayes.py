@@ -24,6 +24,7 @@ from femin import pac_bayes
 from femin.errors import EmptyData
 from femin.pac_bayes import CoverageReport
 from femin.pac_bayes import test_losses as exact_test_losses
+from femin.simplex import SUPPORT_EPS
 
 # frozen from the bound formula: sqrt((b-a)^2/(2m) * (kl + log(1/delta)))
 BOUND_KL0_M100_D05 = 0.12238734153404082
@@ -298,13 +299,28 @@ class TestCoverageExperiment:
         assert report == reference_coverage(problem, 3.0, 5, 0.05, block + 1, 2)
 
     def test_matches_the_reference_on_point_mass_posteriors(self):
-        # at beta = 1e308 every q is a point mass (or nearly): _kl's masked sum
+        # at beta = 1e308 every q is a point mass (or nearly): the KL kernel's masked sum
         rng = np.random.default_rng(49)
         for n_h, a, b in ((3, 2.0, 3.0), (9, 0.0, 1.0), (33, -1e150, 1e150)):
             problem = small_problem(rng, n_h=n_h, n_z=4, a=a, b=b)
             for beta in (1e308, 1e3):
                 expected = reference_coverage(problem, beta, 7, 0.05, 150, 1)
                 assert coverage_experiment(problem, beta, 7, 0.05, 150, 1) == expected
+
+    def test_matches_the_reference_on_masked_posteriors(self):
+        # 10 hypotheses: the 5 with losses near 1 get q = 0 (exp underflows), the 5 near 0 keep
+        # q > SUPPORT_EPS, so each row's KL adds masked zeros among 8 or more pairwise-summed entries
+        rng = np.random.default_rng(53)
+        table = np.vstack([rng.uniform(0.0, 0.005, (5, 6)), rng.uniform(0.95, 1.0, (5, 6))])
+        prior = FiniteDistribution(rng.dirichlet(np.ones(10)) * 0.9 + 0.01)
+        problem = LearningProblem(table, 0.0, 1.0, prior, FiniteDistribution(rng.dirichlet(np.ones(6))))
+        for seed in range(3):
+            s = np.random.default_rng((seed, 0)).choice(6, size=20, p=problem.data_model.probs)
+            q = gibbs_posterior(problem, s, 1000.0).probs
+            assert np.sum(q == 0.0) == 5 and np.sum(q > SUPPORT_EPS) == 5
+            assert coverage_experiment(problem, 1000.0, 20, 0.05, 200, seed) == reference_coverage(
+                problem, 1000.0, 20, 0.05, 200, seed
+            )
 
     def test_matches_the_reference_with_a_zero_data_model_entry(self):
         rng = np.random.default_rng(51)

@@ -17,6 +17,7 @@ from femin import (
     em_fit,
     fit_dv,
     make_oracle,
+    mean_field_coordinate_ascent,
     run_descent,
 )
 
@@ -67,6 +68,17 @@ def test_fit_dv_builds_do_not_grow(builds):
         assert result.trace.size == steps + 1
         per_run.append(dict(builds))
     assert per_run[0] == per_run[1] == {"TabularFunction": 1}
+
+
+def test_mean_field_builds_do_not_grow(builds):
+    log_joint = np.random.default_rng(7).normal(size=(3, 4))
+    per_run = []
+    for sweeps in (0, 5, 50):
+        builds.clear()
+        _, _, trace = mean_field_coordinate_ascent(log_joint, sweeps=sweeps)
+        assert trace.size == sweeps + 1
+        per_run.append(dict(builds))
+    assert per_run[0] == per_run[1] == per_run[2] == {"FiniteDistribution": 2}
 
 
 @pytest.mark.parametrize("schedule", ["constant", "backtracking"])

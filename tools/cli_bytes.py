@@ -24,22 +24,25 @@ multiplicative and a Euclidean mirror step at alpha = 1e300 or 1e308, and
 `pacbayes` at beta = 1e308 with losses in [2, 3], `posterior` on
 log-weights of +-1e308, and `pacbayes` on losses in [0, 1.3e154], where
 (b - a)^2 times the KL term overflows; its lines hash stdout and stderr.
-The input part runs nineteen inputs that the CLI must reject with exit 2 or 3 and a JSON
-error (empty `--l`, `--target` and `--x0`, `klest --lr inf` and
+The input part runs 31 inputs, 28 of which end with exit 2 or 3 and a JSON
+error. The CLI must reject 26 of them (empty `--l`, `--target` and `--x0`, `klest --lr inf` and
 `--alphabet-size 0`, `maxent --alphabet-size` off the features' size,
 `figure1 --x-max=inf`, a `figure1` range whose end prior weights
 round to zero, a list as `solve`'s penalty, `maxent --tol nan`,
-`solve --seed 1`, a flag that `solve` does not declare, `pacbayes` with
+`solve --seed 1` (a flag that `solve` does not declare), `pacbayes` with
 b = 1e308, a `figure1 --loss` table spanning
 more than the largest double, a string target and mismatched features and
 targets in a `maxent` constraints file, `true` in a `klest` features file,
 `null` in a `figure1` loss table and a `1.0` line in categorical `em`
-data, `solve` losses nested 5000 lists deep). It also runs four Gaussian
+data, `solve` losses nested 5000 lists deep, `mirror --reg` of 0, -1, nan
+and inf, `--target` with the linear oracle, `--l` with the
+quadratic-to-target oracle and `--features` with `klest --class tabular`).
+It also runs four Gaussian
 `em` inputs at the edge of the doubles: an init mean and an init variance
 of 1e308, whose component has (nearly) zero density and ends degenerate;
 1000 observations at 1e306, whose M-step sum overflows; and data
-[0, 0, 0, 1e152], whose floored variances overflow an E-step square. The
-last input is the entropy-regularized `mirror` oracle, whose Euclidean
+[0, 0, 0, 1e152], whose floored variances overflow an E-step square. One
+more is the entropy-regularized `mirror` oracle, whose Euclidean
 step reaches a zero coordinate and an infinite gradient. Its lines hash
 stdout and stderr together, so a changed error message or warning shows. The pacbayes part runs
 the coverage experiment on seeded tables of 8, 9 and 33 hypotheses (numpy
@@ -339,6 +342,17 @@ INPUT_CASES = (
         "solve-losses-nested-5000",
         {"problem.json": '{"losses": ' + "[" * 5000 + "]" * 5000 + ', "temperature": 1, "penalty": {"kind": "neg_entropy"}}'},
         ["solve", "--problem", "problem.json"],
+    ),
+    *(
+        (f"mirror-reg-{reg}", {}, ["mirror", "--oracle", "entropy-regularized-linear", "--l=0,5", "--method", "euclidean", "--reg", reg])
+        for reg in ("0", "-1", "nan", "inf")
+    ),
+    ("mirror-linear-target", {}, ["mirror", "--oracle", "linear", "--l=0,1", "--target=0.2,0.8"]),
+    ("mirror-target-l", {}, ["mirror", "--oracle", "quadratic-to-target", "--target=0.2,0.8", "--l=0,1"]),
+    (
+        "klest-tabular-features",
+        {**KLEST_FILES, "features.json": json.dumps({"features": [[0.0], [1.0], [2.0]]})},
+        [*KLEST, "--class", "tabular", "--features", "features.json"],
     ),
 )
 
